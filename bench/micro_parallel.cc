@@ -1,7 +1,8 @@
 // Thread-scaling microbenchmark for the parallel mining engine: mines one
 // synthetic series at several MinerOptions::num_threads values, checks the
-// outputs are identical, and emits machine-readable BENCH_parallel.json —
-// the start of the repo's recorded perf trajectory.
+// outputs are identical, and with --json writes the machine-readable record
+// behind BENCH_parallel.json — the start of the repo's recorded perf
+// trajectory.
 //
 //   micro_parallel                         # n = 2^18, threads 1 2 4 8
 //   micro_parallel --n 1048576 --json out.json
@@ -48,7 +49,7 @@ int Run(int argc, char** argv) {
   std::int64_t period = 25;
   std::int64_t max_period = 4096;
   std::int64_t repeats = 3;
-  std::string json = "BENCH_parallel.json";
+  std::string json;  // never defaults to a committed baseline
   bool paper_scale = PaperScaleFromEnv();
   FlagSet flags("micro_parallel");
   flags.AddInt64("n", &n, "series length (default 2^18)");
@@ -59,7 +60,8 @@ int Run(int argc, char** argv) {
                  "positions-mode sweep stays proportional to n log n)");
   flags.AddInt64("repeats", &repeats, "runs per thread count (min is kept)");
   flags.AddString("json", &json,
-                  "write machine-readable results here ('' = skip)");
+                  "write machine-readable results here (default '' = "
+                  "skip)");
   flags.AddBool("paper_scale", &paper_scale, "use a 1M-symbol series");
   PERIODICA_CHECK_OK(flags.Parse(argc, argv));
   if (paper_scale) n = std::int64_t{1} << 20;

@@ -1,12 +1,13 @@
 // Per-stage performance harness for the mining pipeline: times the hot
 // stages separately — indicator construction, stage-1 per-symbol indicator
 // FFTs, stage-2 DynamicBitset phase refinement (once per available SIMD
-// kernel), and the chunked bounded-lag correlator — and emits
-// BENCH_stages.json, the baseline tools/perf_gate.py gates CI against.
+// kernel), and the chunked bounded-lag correlator — and, with --json,
+// writes the record behind BENCH_stages.json, the baseline
+// tools/perf_gate.py gates CI against.
 //
 //   stagebench                       # full scale: n = 2^18, max_period 4096
 //   stagebench --quick               # CI scale: n = 2^16, max_period 1024
-//   stagebench --json out.json       # write somewhere else ('' = skip)
+//   stagebench --json out.json       # also write the JSON record
 //
 // Methodology (docs/PERFORMANCE.md, "Measuring: stagebench"): every stage
 // runs once unrecorded to warm caches (FFT plans, twiddles, page faults),
@@ -118,7 +119,7 @@ int Run(int argc, char** argv) {
   std::int64_t repeats = 5;
   double threshold = 0.3;
   bool quick = false;
-  std::string json = "BENCH_stages.json";
+  std::string json;  // never defaults to a committed baseline
   FlagSet flags("stagebench");
   flags.AddInt64("n", &n, "series length (default 2^18)");
   flags.AddInt64("sigma", &sigma,
@@ -132,7 +133,8 @@ int Run(int argc, char** argv) {
                 "CI scale: n = 2^16, max_period = 1024, repeats = 3 "
                 "(overrides --n/--max_period/--repeats)");
   flags.AddString("json", &json,
-                  "write machine-readable results here ('' = skip)");
+                  "write machine-readable results here (default '' = "
+                  "skip)");
   PERIODICA_CHECK_OK(flags.Parse(argc, argv));
   if (quick) {
     n = std::int64_t{1} << 16;

@@ -1,6 +1,7 @@
 #include "periodica/util/fault_injector.h"
 
 #include <atomic>
+#include <cstdlib>
 #include <unordered_map>
 #include <utility>
 
@@ -94,5 +95,39 @@ ScopedFault::ScopedFault(std::string site, Status status,
 }
 
 ScopedFault::~ScopedFault() { FaultInjector::Disarm(site_); }
+
+Status ArmFaults(const std::string& spec,
+                 std::vector<std::unique_ptr<ScopedFault>>* armed) {
+  std::size_t start = 0;
+  while (start < spec.size()) {
+    std::size_t end = spec.find(',', start);
+    if (end == std::string::npos) end = spec.size();
+    const std::string item = spec.substr(start, end - start);
+    start = end + 1;
+    if (item.empty()) continue;
+    const std::size_t colon = item.find(':');
+    if (colon == std::string::npos) {
+      return Status::InvalidArgument("--faults item '" + item +
+                                     "' is not site:nth[:repeat]");
+    }
+    const std::string site = item.substr(0, colon);
+    std::string rest = item.substr(colon + 1);
+    bool repeat = false;
+    if (const std::size_t colon2 = rest.find(':');
+        colon2 != std::string::npos) {
+      repeat = rest.substr(colon2 + 1) == "repeat";
+      rest = rest.substr(0, colon2);
+    }
+    char* parse_end = nullptr;
+    const unsigned long long nth = std::strtoull(rest.c_str(), &parse_end, 10);
+    if (parse_end == rest.c_str() || *parse_end != '\0' || nth == 0) {
+      return Status::InvalidArgument("--faults item '" + item +
+                                     "' has a bad hit number");
+    }
+    armed->push_back(std::make_unique<ScopedFault>(
+        site, Status::IOError("injected fault at " + site), nth, repeat));
+  }
+  return Status::OK();
+}
 
 }  // namespace periodica::util

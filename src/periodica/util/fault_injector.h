@@ -2,7 +2,9 @@
 #define PERIODICA_UTIL_FAULT_INJECTOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "periodica/util/status.h"
 
@@ -72,6 +74,13 @@ class ScopedFault {
  private:
   std::string site_;
 };
+
+/// Parses a "site:nth[:repeat],..." spec (the serving binaries' --faults
+/// flag) and appends one ScopedFault per item to `armed`, each failing with
+/// an IOError. Empty items are skipped; an item without a positive integer
+/// hit number is InvalidArgument.
+Status ArmFaults(const std::string& spec,
+                 std::vector<std::unique_ptr<ScopedFault>>* armed);
 
 }  // namespace periodica::util
 

@@ -3,8 +3,8 @@
 
 // TCP transport helpers for the multi-node serving layer (docs/SERVING.md).
 // The wire protocol is transport-agnostic (newline-delimited JSON), so these
-// helpers only open and supervise sockets; framing stays in the shared
-// LineBuffer / DrainReadable / SendSome shapes from tools/unix_socket.h.
+// helpers only open and supervise sockets; framing is the LineBuffer /
+// DrainReadable / SendSome trio in util/socket.h, shared with Unix sockets.
 //
 // Two connect shapes:
 //   - TcpConnectStart/TcpConnectFinish for event-loop callers: the socket is
@@ -15,8 +15,9 @@
 // Fault-injection sites (registered in docs/ROBUSTNESS.md):
 //   - "tcp/accept"  fires before accepting a pending connection;
 //   - "tcp/connect" fires before initiating any outbound connect.
-// The read/write sites "tcp/read" / "tcp/write" live at the daemon/router
-// per-connection I/O edges, mirroring "server/read" / "server/write".
+// The read/write sites "tcp/read" / "tcp/write" live on the connection I/O
+// edges of serve::Server (serve/server.h) and the router's upstreams,
+// mirroring "server/read" / "server/write".
 
 #include <cstdint>
 #include <string>
@@ -27,7 +28,7 @@
 namespace periodica::util {
 
 /// An owned file descriptor (closes on destruction; movable). Shared by the
-/// TCP helpers here and the Unix-socket helpers in tools/unix_socket.h.
+/// TCP helpers here and the Unix-socket helpers in util/socket.h.
 class UniqueFd {
  public:
   UniqueFd() = default;

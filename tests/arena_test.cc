@@ -1,5 +1,6 @@
 #include "periodica/util/arena.h"
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -65,9 +66,14 @@ struct Tracked {
   ~Tracked() { --live; }
   int value;
   char padding[40] = {};
-  static int live;
+  /// Slab::New/Delete run constructors and destructors outside the slab
+  /// mutex, so concurrent churn updates this from several threads at once.
+  ///
+  /// Ordering: seq_cst (the default). Only the count matters; the tests read
+  /// it after joining every thread that changed it.
+  static std::atomic<int> live;
 };
-int Tracked::live = 0;
+std::atomic<int> Tracked::live{0};
 
 TEST(SlabTest, DeleteRecyclesSlotsInsteadOfGrowing) {
   Slab<Tracked> slab(8);
@@ -75,14 +81,14 @@ TEST(SlabTest, DeleteRecyclesSlotsInsteadOfGrowing) {
   objects.reserve(32);
   for (int i = 0; i < 32; ++i) objects.push_back(slab.New(i));
   EXPECT_EQ(slab.live(), 32u);
-  EXPECT_EQ(Tracked::live, 32);
+  EXPECT_EQ(Tracked::live.load(), 32);
   const std::size_t capacity = slab.capacity();
   // Pointers are stable and values intact.
   for (int i = 0; i < 32; ++i) EXPECT_EQ(objects[i]->value, i);
 
   for (Tracked* object : objects) slab.Delete(object);
   EXPECT_EQ(slab.live(), 0u);
-  EXPECT_EQ(Tracked::live, 0);
+  EXPECT_EQ(Tracked::live.load(), 0);
 
   // Re-allocating the same count reuses the freelist: capacity is flat.
   std::set<Tracked*> recycled;
@@ -116,7 +122,7 @@ TEST(SlabTest, ConcurrentChurnKeepsAccounting) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(slab.live(), 0u);
-  EXPECT_EQ(Tracked::live, 0);
+  EXPECT_EQ(Tracked::live.load(), 0);
   // Peak concurrent liveness is at most 2 per thread.
   EXPECT_LE(slab.capacity(), 2u * kThreads);
 }

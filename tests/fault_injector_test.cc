@@ -1,5 +1,8 @@
 #include "periodica/util/fault_injector.h"
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace periodica::util {
@@ -68,6 +71,35 @@ TEST(FaultInjectorTest, RearmingResetsCounters) {
 TEST(FaultInjectorTest, InjectedStatusKindIsPreserved) {
   ScopedFault fault("t/kind", Status::InvalidArgument("bad data"));
   EXPECT_TRUE(FaultInjector::Check("t/kind").IsInvalidArgument());
+}
+
+TEST(ArmFaultsTest, ParsesOneShotAndRepeatItemsSkippingEmptyOnes) {
+  std::vector<std::unique_ptr<ScopedFault>> armed;
+  ASSERT_TRUE(ArmFaults(",t/spec_once:3,,t/spec_repeat:2:repeat,", &armed)
+                  .ok());
+  ASSERT_EQ(armed.size(), 2u);
+  EXPECT_TRUE(FaultInjector::Check("t/spec_once").ok());
+  EXPECT_TRUE(FaultInjector::Check("t/spec_once").ok());
+  const Status fired = FaultInjector::Check("t/spec_once");
+  EXPECT_TRUE(fired.IsIOError());
+  EXPECT_EQ(fired.message(), "injected fault at t/spec_once");
+  EXPECT_TRUE(FaultInjector::Check("t/spec_once").ok());  // one-shot
+
+  EXPECT_TRUE(FaultInjector::Check("t/spec_repeat").ok());
+  EXPECT_TRUE(FaultInjector::Check("t/spec_repeat").IsIOError());
+  EXPECT_TRUE(FaultInjector::Check("t/spec_repeat").IsIOError());
+
+  armed.clear();  // disarms
+  EXPECT_TRUE(FaultInjector::Check("t/spec_repeat").ok());
+  EXPECT_TRUE(ArmFaults("", &armed).ok());
+  EXPECT_TRUE(armed.empty());
+}
+
+TEST(ArmFaultsTest, RejectsItemsWithoutAPositiveHitNumber) {
+  for (const char* spec : {"s", "s:0", "s:x", "s:3x", "ok:1,s"}) {
+    std::vector<std::unique_ptr<ScopedFault>> armed;
+    EXPECT_TRUE(ArmFaults(spec, &armed).IsInvalidArgument()) << spec;
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "../tools/unix_socket.h"
 #include "periodica/util/fault_injector.h"
+#include "periodica/util/socket.h"
 
 namespace periodica::util {
 namespace {
@@ -91,12 +92,12 @@ TEST(TcpTest, BlockingConnectRoundTrip) {
   // Bytes flow both ways through the shared framing helpers.
   ASSERT_TRUE(
       tools::SendLine(client.value().get(), R"({"hello":true})").ok());
-  tools::LineBuffer buffer;
+  LineBuffer buffer;
   // The accepted socket is non-blocking: drain until the line arrives.
   std::optional<std::string> line;
   for (int i = 0; i < 1000 && !line.has_value(); ++i) {
     const Result<bool> eof =
-        tools::DrainReadable(accepted.value().get(), &buffer);
+        DrainReadable(accepted.value().get(), &buffer);
     ASSERT_TRUE(eof.ok());
     ASSERT_FALSE(eof.value());
     line = buffer.NextLine();

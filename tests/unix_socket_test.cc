@@ -1,5 +1,5 @@
 // Regression tests for the framing and partial-I/O helpers in
-// tools/unix_socket.h: short reads (bytes arriving one at a time), short
+// util/socket.h and the blocking clients in tools/unix_socket.h: short reads (bytes arriving one at a time), short
 // writes (a full kernel buffer mid-message), and EINTR at every layer. The
 // blocking (LineReader/SendLine) and non-blocking (LineBuffer/
 // DrainReadable/SendSome) shapes share the framing core, so both are
@@ -24,6 +24,10 @@
 
 namespace periodica::tools {
 namespace {
+
+using util::DrainReadable;
+using util::LineBuffer;
+using util::SendSome;
 
 struct Pair {
   Pair() {

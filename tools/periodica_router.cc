@@ -34,15 +34,11 @@
 // per-(client, shard) upstream connections and heartbeat timers. Every
 // member below is loop-confined unless stated otherwise.
 
-#include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -50,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "periodica/serve/server.h"
 #include "periodica/serve/shard_map.h"
 #include "periodica/store/kv_store.h"
 #include "periodica/util/event_loop.h"
@@ -57,16 +54,21 @@
 #include "periodica/util/flags.h"
 #include "periodica/util/json.h"
 #include "periodica/util/rng.h"
+#include "periodica/util/socket.h"
 #include "periodica/util/status.h"
 #include "periodica/util/tcp.h"
 #include "retry_backoff.h"
-#include "unix_socket.h"
 
 namespace periodica::tools {
 namespace {
 
+using serve::ConnectionPtr;
+using serve::ErrorResponse;
+using serve::OkResponse;
+using serve::RequestTenant;
 using util::EventLoop;
 using util::JsonValue;
+using util::LineBuffer;
 
 // --- Configuration ---------------------------------------------------------
 
@@ -128,45 +130,6 @@ Status ParseShards(const std::string& spec, std::vector<ShardSpec>* out) {
   return Status::OK();
 }
 
-// --- Shutdown plumbing (same shape as periodicad) --------------------------
-
-/// Ordering: relaxed — the signal handler's write is observed via the wake
-/// pipe's readability, which the loop handles on its own thread.
-std::atomic<bool> g_shutdown{false};
-int g_wake_pipe[2] = {-1, -1};
-
-void HandleShutdownSignal(int) {
-  g_shutdown.store(true, std::memory_order_relaxed);
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t ignored = ::write(g_wake_pipe[1], &byte, 1);
-}
-
-// --- JSON response helpers (wire format shared with periodicad) ------------
-
-JsonValue ErrorResponse(const std::string& code, const std::string& message) {
-  JsonValue::Object error;
-  error["code"] = code;
-  error["message"] = message;
-  JsonValue::Object response;
-  response["ok"] = false;
-  response["error"] = JsonValue(std::move(error));
-  return JsonValue(std::move(response));
-}
-
-JsonValue OkResponse(JsonValue::Object result) {
-  JsonValue::Object response;
-  response["ok"] = true;
-  response["result"] = JsonValue(std::move(result));
-  return JsonValue(std::move(response));
-}
-
-/// The tenant a request acts for (mirrors the daemon's defaulting so the
-/// routing key and the shard's checkpoint key always agree).
-std::string RequestTenant(const JsonValue& params) {
-  std::string tenant = params.GetString("tenant", "default");
-  return tenant.empty() ? "default" : tenant;
-}
-
 // --- Router ----------------------------------------------------------------
 
 class Router {
@@ -185,7 +148,7 @@ class Router {
   // client's requests to one shard flow down one upstream, in order).
   struct Upstream {
     std::string shard;
-    FdHandle fd;
+    util::UniqueFd fd;
     LineBuffer in;
     std::string out;
     std::size_t out_offset = 0;
@@ -214,27 +177,22 @@ class Router {
     std::string target;      // shard currently serving it
   };
 
-  struct ClientConn {
-    ClientConn(FdHandle fd_in, std::size_t max_line, bool tcp_in)
-        : fd(std::move(fd_in)), in(max_line), tcp(tcp_in) {}
-    FdHandle fd;
-    LineBuffer in;
-    std::string out;
-    std::size_t out_offset = 0;
-    bool busy = false;
-    bool saw_eof = false;
-    bool closed = false;
-    const bool tcp;
+  // Routing state of one client connection, created with its first
+  // request and dropped when the server closes the connection.
+  struct Client {
+    explicit Client(ConnectionPtr conn_in) : conn(std::move(conn_in)) {}
+    const ConnectionPtr conn;
     InFlight flight;
     std::map<std::string, std::unique_ptr<Upstream>> upstreams;  // by shard
   };
+  using ClientPtr = std::shared_ptr<Client>;
 
   // Health supervision for one shard: a dedicated heartbeat connection plus
   // the timers that drive pings, pong deadlines and reconnect backoff.
   struct Shard {
     ShardSpec spec;
     bool up = false;
-    FdHandle hb_fd;
+    util::UniqueFd hb_fd;
     LineBuffer hb_in;
     std::string hb_out;
     std::size_t hb_out_offset = 0;
@@ -251,43 +209,32 @@ class Router {
     std::uint64_t forwarded = 0;
   };
 
-  // Client side.
-  void OnAcceptable(bool tcp);
-  void RegisterClient(FdHandle fd, bool tcp);
-  void OnClientReadable(const std::shared_ptr<ClientConn>& conn);
-  void OnClientWritable(const std::shared_ptr<ClientConn>& conn);
-  void ProcessNextLine(const std::shared_ptr<ClientConn>& conn);
-  void HandleRequestLine(const std::shared_ptr<ClientConn>& conn,
-                         const std::string& line);
-  void EnqueueResponse(const std::shared_ptr<ClientConn>& conn,
-                       JsonValue response);
-  void RelayVerbatim(const std::shared_ptr<ClientConn>& conn,
-                     const std::string& line);
-  void FlushOut(const std::shared_ptr<ClientConn>& conn);
-  void CloseClient(const std::shared_ptr<ClientConn>& conn);
+  // Client side (serve::Server callbacks).
+  void HandleRequestLine(const ConnectionPtr& conn, const std::string& line);
+  void OnClientClosed(const ConnectionPtr& conn);
 
   // Routing.
-  void DispatchInFlight(const std::shared_ptr<ClientConn>& conn);
-  void FinishWithLocalResponse(const std::shared_ptr<ClientConn>& conn,
+  void DispatchInFlight(const ClientPtr& client);
+  void FinishWithLocalResponse(const ClientPtr& client,
                                JsonValue response);
   JsonValue RouterOverloaded(const std::string& message) const;
   JsonValue HandleStats() const;
 
   // Upstreams.
-  Upstream* GetOrConnectUpstream(const std::shared_ptr<ClientConn>& conn,
+  Upstream* GetOrConnectUpstream(const ClientPtr& client,
                                  const std::string& shard_name);
-  void SendOnUpstream(const std::shared_ptr<ClientConn>& conn,
+  void SendOnUpstream(const ClientPtr& client,
                       Upstream* upstream, const std::string& line);
-  void OnUpstreamReadable(const std::shared_ptr<ClientConn>& conn,
+  void OnUpstreamReadable(const ClientPtr& client,
                           const std::string& shard_name);
-  void OnUpstreamWritable(const std::shared_ptr<ClientConn>& conn,
+  void OnUpstreamWritable(const ClientPtr& client,
                           const std::string& shard_name);
-  void FlushUpstream(const std::shared_ptr<ClientConn>& conn,
+  void FlushUpstream(const ClientPtr& client,
                      Upstream* upstream);
-  void HandleUpstreamResponse(const std::shared_ptr<ClientConn>& conn,
+  void HandleUpstreamResponse(const ClientPtr& client,
                               const std::string& shard_name,
                               const std::string& line);
-  void DropUpstream(const std::shared_ptr<ClientConn>& conn,
+  void DropUpstream(const ClientPtr& client,
                     const std::string& shard_name);
 
   // Shard supervision.
@@ -323,7 +270,6 @@ class Router {
   void SweepPins();
   void SchedulePinSweep();
 
-  void OnWakePipe();
   void BeginShutdown();
 
   const RouterConfig config_;
@@ -333,14 +279,16 @@ class Router {
   /// EventLoop confinement discipline).
   /// lint: unguarded(loop_): loop-confined
   std::unique_ptr<EventLoop> loop_;
+  /// lint: unguarded(server_): loop-confined
+  std::unique_ptr<serve::Server> server_;
   /// lint: unguarded(ring_): loop-confined
   serve::ShardMap ring_;
   /// lint: unguarded(rng_): loop-confined (backoff jitter)
   Rng rng_;
   /// lint: unguarded(shards_): loop-confined
   std::map<std::string, Shard> shards_;
-  /// lint: unguarded(connections_): loop-confined
-  std::map<int, std::shared_ptr<ClientConn>> connections_;
+  /// lint: unguarded(clients_): loop-confined
+  std::map<const serve::Connection*, ClientPtr> clients_;
   /// Sticky placement overrides: once a session migrates — or is placed on
   /// a fallback shard because its primary was down — its key pins to that
   /// shard until stream_close, so a flapping original owner cannot pull
@@ -357,10 +305,6 @@ class Router {
   };
   /// lint: unguarded(migrations_): loop-confined
   std::map<std::string, Pin> migrations_;
-  /// lint: unguarded(unix_listener_): loop-confined
-  FdHandle unix_listener_;
-  /// lint: unguarded(tcp_listener_): loop-confined
-  FdHandle tcp_listener_;
   /// lint: unguarded(round_robin_): loop-confined (keyless request spread)
   std::uint64_t round_robin_ = 0;
   /// lint: unguarded(shutting_down_): loop-confined
@@ -386,110 +330,20 @@ class Router {
 
 // --- Client side -----------------------------------------------------------
 
-void Router::OnAcceptable(bool tcp) {
-  const int listener = tcp ? tcp_listener_.get() : unix_listener_.get();
-  while (true) {
-    if (tcp) {
-      Result<FdHandle> accepted = util::TcpAccept(listener);
-      if (!accepted.ok()) {
-        if (accepted.status().IsUnavailable()) return;  // backlog drained
-        // Injected (tcp/accept) or transient failure: drop one pending
-        // connection so a repeat-armed fault cannot spin the loop.
-        const int dropped = ::accept(listener, nullptr, nullptr);
-        if (dropped >= 0) ::close(dropped);
-        continue;
-      }
-      RegisterClient(std::move(accepted.value()), /*tcp=*/true);
-      continue;
-    }
-    if (Status injected = util::FaultInjector::Check("server/accept");
-        !injected.ok()) {
-      const int dropped = ::accept(listener, nullptr, nullptr);
-      if (dropped >= 0) ::close(dropped);
-      continue;
-    }
-    const int client = ::accept(listener, nullptr, nullptr);
-    if (client < 0) return;  // EAGAIN (drained) or transient failure
-    FdHandle fd(client);
-    if (!SetNonBlocking(fd.get()).ok()) continue;
-    RegisterClient(std::move(fd), /*tcp=*/false);
-  }
-}
-
-void Router::RegisterClient(FdHandle fd, bool tcp) {
-  auto conn = std::make_shared<ClientConn>(
-      std::move(fd), static_cast<std::size_t>(config_.max_request_bytes),
-      tcp);
-  EventLoop::Handler handler;
-  handler.on_readable = [this, conn] { OnClientReadable(conn); };
-  handler.on_writable = [this, conn] { OnClientWritable(conn); };
-  const int raw = conn->fd.get();
-  if (!loop_->Add(raw, /*want_read=*/true, /*want_write=*/false,
-                  std::move(handler))
-           .ok()) {
-    return;  // conn (and its fd) die here
-  }
-  connections_.emplace(raw, std::move(conn));
-}
-
-void Router::OnClientReadable(const std::shared_ptr<ClientConn>& conn) {
-  if (conn->closed) return;
-  if (Status injected = util::FaultInjector::Check(conn->tcp ? "tcp/read"
-                                                             : "server/read");
-      !injected.ok()) {
-    CloseClient(conn);
-    return;
-  }
-  const Result<bool> eof = DrainReadable(conn->fd.get(), &conn->in);
-  if (!eof.ok()) {
-    CloseClient(conn);
-    return;
-  }
-  if (eof.value()) {
-    if (conn->in.mid_line()) {
-      CloseClient(conn);  // peer died mid-request
-      return;
-    }
-    conn->saw_eof = true;
-    (void)loop_->SetInterest(conn->fd.get(), /*want_read=*/false,
-                             /*want_write=*/!conn->out.empty());
-  }
-  ProcessNextLine(conn);
-}
-
-void Router::OnClientWritable(const std::shared_ptr<ClientConn>& conn) {
-  if (conn->closed) return;
-  FlushOut(conn);
-  if (!conn->closed && conn->out.empty()) ProcessNextLine(conn);
-}
-
-void Router::ProcessNextLine(const std::shared_ptr<ClientConn>& conn) {
-  // Serial per connection, exactly like the daemon: the next request is
-  // pulled only once the previous response is fully relayed.
-  while (!conn->busy && !conn->closed && !shutting_down_) {
-    const std::optional<std::string> line = conn->in.NextLine();
-    if (!line.has_value()) break;
-    if (line->empty()) continue;
-    HandleRequestLine(conn, *line);
-  }
-  if (!conn->closed && conn->saw_eof && !conn->busy && conn->out.empty() &&
-      !conn->in.mid_line()) {
-    CloseClient(conn);
-  }
-}
-
-void Router::HandleRequestLine(const std::shared_ptr<ClientConn>& conn,
+void Router::HandleRequestLine(const ConnectionPtr& conn,
                                const std::string& line) {
-  conn->busy = true;
+  ClientPtr& slot = clients_[conn.get()];
+  if (slot == nullptr) slot = std::make_shared<Client>(conn);
+  const ClientPtr client = slot;  // a reply below may close and erase it
+  InFlight& flight = client->flight;
+  flight = InFlight{};
   const Result<JsonValue> parsed = JsonValue::Parse(line);
   if (!parsed.ok() || !parsed.value().is_object()) {
-    EnqueueResponse(conn, ErrorResponse("INVALID_ARGUMENT",
-                                        "bad request JSON"));
+    FinishWithLocalResponse(client, ErrorResponse("INVALID_ARGUMENT",
+                                                  "bad request JSON"));
     return;
   }
   const JsonValue& request = parsed.value();
-  InFlight& flight = conn->flight;
-  flight = InFlight{};
   if (const JsonValue* found = request.Find("id"); found != nullptr) {
     flight.id = *found;
     flight.has_id = true;
@@ -506,11 +360,11 @@ void Router::HandleRequestLine(const std::shared_ptr<ClientConn>& conn,
     JsonValue::Object result;
     result["pong"] = true;
     result["router"] = true;
-    FinishWithLocalResponse(conn, OkResponse(std::move(result)));
+    FinishWithLocalResponse(client, OkResponse(std::move(result)));
     return;
   }
   if (flight.method == "stats") {
-    FinishWithLocalResponse(conn, HandleStats());
+    FinishWithLocalResponse(client, HandleStats());
     return;
   }
 
@@ -519,9 +373,9 @@ void Router::HandleRequestLine(const std::shared_ptr<ClientConn>& conn,
   if (flight.method.rfind("stream_", 0) == 0) {
     if (flight.session.empty()) {
       FinishWithLocalResponse(
-          conn, ErrorResponse("INVALID_ARGUMENT",
-                              "the router requires params.session on "
-                              "stream_* requests (it is the routing key)"));
+          client, ErrorResponse("INVALID_ARGUMENT",
+                                "the router requires params.session on "
+                                "stream_* requests (it is the routing key)"));
       return;
     }
     flight.route_key = store::JoinKey({flight.tenant, flight.session});
@@ -539,16 +393,16 @@ void Router::HandleRequestLine(const std::shared_ptr<ClientConn>& conn,
   }
   flight.line = line;
   flight.active = true;
-  DispatchInFlight(conn);
+  DispatchInFlight(client);
 }
 
-void Router::FinishWithLocalResponse(const std::shared_ptr<ClientConn>& conn,
+void Router::FinishWithLocalResponse(const ClientPtr& client,
                                      JsonValue response) {
-  if (conn->flight.has_id) {
-    response.mutable_object()["id"] = conn->flight.id;
+  if (client->flight.has_id) {
+    response.mutable_object()["id"] = client->flight.id;
   }
-  conn->flight = InFlight{};
-  EnqueueResponse(conn, std::move(response));
+  client->flight = InFlight{};
+  server_->Reply(client->conn, response.Dump());
 }
 
 JsonValue Router::RouterOverloaded(const std::string& message) const {
@@ -579,7 +433,7 @@ JsonValue Router::HandleStats() const {
   result["shards"] = JsonValue(std::move(shards));
   result["shard_count"] = shards_.size();
   result["up_count"] = up;
-  result["connections"] = connections_.size();
+  result["connections"] = server_->num_connections();
   result["forwarded"] = static_cast<std::size_t>(forwarded_);
   result["sessions_migrated"] = static_cast<std::size_t>(sessions_migrated_);
   result["rerouted"] = static_cast<std::size_t>(rerouted_);
@@ -595,14 +449,14 @@ JsonValue Router::HandleStats() const {
 
 // --- Routing ---------------------------------------------------------------
 
-void Router::DispatchInFlight(const std::shared_ptr<ClientConn>& conn) {
-  InFlight& flight = conn->flight;
-  if (!flight.active || conn->closed) return;
+void Router::DispatchInFlight(const ClientPtr& client) {
+  InFlight& flight = client->flight;
+  if (!flight.active || client->conn->closed()) return;
   if (flight.attempts > config_.route_retries) {
     ++retries_exhausted_;
     FinishWithLocalResponse(
-        conn, RouterOverloaded("routing retries exhausted for '" +
-                               flight.method + "'"));
+        client, RouterOverloaded("routing retries exhausted for '" +
+                                 flight.method + "'"));
     return;
   }
   if (flight.attempts > 0) ++rerouted_;
@@ -622,13 +476,13 @@ void Router::DispatchInFlight(const std::shared_ptr<ClientConn>& conn) {
   if (!target.has_value()) target = ring_.Pick(flight.route_key);
   if (!target.has_value()) {
     ++no_shard_rejections_;
-    FinishWithLocalResponse(conn,
+    FinishWithLocalResponse(client,
                             RouterOverloaded("no healthy shard available"));
     return;
   }
   flight.target = *target;
   flight.repair = InFlight::Repair::kNone;
-  Upstream* upstream = GetOrConnectUpstream(conn, *target);
+  Upstream* upstream = GetOrConnectUpstream(client, *target);
   if (upstream == nullptr) {
     // Could not even start a connection: treat the shard as dead. That
     // re-dispatches this request (attempts + 1) along with any other
@@ -636,21 +490,21 @@ void Router::DispatchInFlight(const std::shared_ptr<ClientConn>& conn) {
     MarkShardDown(*target, "connect failed");
     return;
   }
-  SendOnUpstream(conn, upstream, flight.line);
+  SendOnUpstream(client, upstream, flight.line);
 }
 
 // --- Upstreams -------------------------------------------------------------
 
 Router::Upstream* Router::GetOrConnectUpstream(
-    const std::shared_ptr<ClientConn>& conn, const std::string& shard_name) {
-  if (const auto it = conn->upstreams.find(shard_name);
-      it != conn->upstreams.end()) {
+    const ClientPtr& client, const std::string& shard_name) {
+  if (const auto it = client->upstreams.find(shard_name);
+      it != client->upstreams.end()) {
     return it->second.get();
   }
   Shard* shard = FindShard(shard_name);
   if (shard == nullptr) return nullptr;
   bool connected = false;
-  Result<FdHandle> fd =
+  Result<util::UniqueFd> fd =
       util::TcpConnectStart(shard->spec.host, shard->spec.port, &connected);
   if (!fd.ok()) return nullptr;
   auto upstream = std::make_unique<Upstream>();
@@ -659,13 +513,13 @@ Router::Upstream* Router::GetOrConnectUpstream(
   upstream->connecting = !connected;
   const int raw = upstream->fd.get();
   EventLoop::Handler handler;
-  handler.on_readable = [this, weak = std::weak_ptr<ClientConn>(conn),
+  handler.on_readable = [this, weak = std::weak_ptr<Client>(client),
                          shard_name] {
-    if (auto conn = weak.lock()) OnUpstreamReadable(conn, shard_name);
+    if (auto client = weak.lock()) OnUpstreamReadable(client, shard_name);
   };
-  handler.on_writable = [this, weak = std::weak_ptr<ClientConn>(conn),
+  handler.on_writable = [this, weak = std::weak_ptr<Client>(client),
                          shard_name] {
-    if (auto conn = weak.lock()) OnUpstreamWritable(conn, shard_name);
+    if (auto client = weak.lock()) OnUpstreamWritable(client, shard_name);
   };
   if (!loop_->Add(raw, /*want_read=*/true, /*want_write=*/true,
                   std::move(handler))
@@ -673,48 +527,48 @@ Router::Upstream* Router::GetOrConnectUpstream(
     return nullptr;
   }
   Upstream* raw_upstream = upstream.get();
-  conn->upstreams.emplace(shard_name, std::move(upstream));
+  client->upstreams.emplace(shard_name, std::move(upstream));
   return raw_upstream;
 }
 
-void Router::SendOnUpstream(const std::shared_ptr<ClientConn>& conn,
+void Router::SendOnUpstream(const ClientPtr& client,
                             Upstream* upstream, const std::string& line) {
   upstream->out += line;
   upstream->out.push_back('\n');
-  if (!upstream->connecting) FlushUpstream(conn, upstream);
+  if (!upstream->connecting) FlushUpstream(client, upstream);
 }
 
-void Router::OnUpstreamWritable(const std::shared_ptr<ClientConn>& conn,
+void Router::OnUpstreamWritable(const ClientPtr& client,
                                 const std::string& shard_name) {
-  const auto it = conn->upstreams.find(shard_name);
-  if (it == conn->upstreams.end()) return;
+  const auto it = client->upstreams.find(shard_name);
+  if (it == client->upstreams.end()) return;
   Upstream* upstream = it->second.get();
   if (upstream->connecting) {
     if (const Status status = util::TcpConnectFinish(upstream->fd.get());
         !status.ok()) {
-      DropUpstream(conn, shard_name);
+      DropUpstream(client, shard_name);
       MarkShardDown(shard_name, "upstream connect: " + status.message());
       return;
     }
     upstream->connecting = false;
   }
-  FlushUpstream(conn, upstream);
+  FlushUpstream(client, upstream);
 }
 
-void Router::FlushUpstream(const std::shared_ptr<ClientConn>& conn,
+void Router::FlushUpstream(const ClientPtr& client,
                            Upstream* upstream) {
   if (Status injected = util::FaultInjector::Check("tcp/write");
       !injected.ok()) {
     const std::string shard_name = upstream->shard;
-    DropUpstream(conn, shard_name);
+    DropUpstream(client, shard_name);
     MarkShardDown(shard_name, "injected write fault");
     return;
   }
-  const Result<bool> sent =
-      SendSome(upstream->fd.get(), upstream->out, &upstream->out_offset);
+  const Result<bool> sent = util::SendSome(upstream->fd.get(), upstream->out,
+                                           &upstream->out_offset);
   if (!sent.ok()) {
     const std::string shard_name = upstream->shard;
-    DropUpstream(conn, shard_name);
+    DropUpstream(client, shard_name);
     MarkShardDown(shard_name, "upstream write: " + sent.status().message());
     return;
   }
@@ -726,20 +580,21 @@ void Router::FlushUpstream(const std::shared_ptr<ClientConn>& conn,
                            /*want_write=*/!upstream->out.empty());
 }
 
-void Router::OnUpstreamReadable(const std::shared_ptr<ClientConn>& conn,
+void Router::OnUpstreamReadable(const ClientPtr& client,
                                 const std::string& shard_name) {
-  const auto it = conn->upstreams.find(shard_name);
-  if (it == conn->upstreams.end()) return;
+  const auto it = client->upstreams.find(shard_name);
+  if (it == client->upstreams.end()) return;
   Upstream* upstream = it->second.get();
   if (Status injected = util::FaultInjector::Check("tcp/read");
       !injected.ok()) {
-    DropUpstream(conn, shard_name);
+    DropUpstream(client, shard_name);
     MarkShardDown(shard_name, "injected read fault");
     return;
   }
-  const Result<bool> eof = DrainReadable(upstream->fd.get(), &upstream->in);
+  const Result<bool> eof =
+      util::DrainReadable(upstream->fd.get(), &upstream->in);
   if (!eof.ok() || eof.value()) {
-    DropUpstream(conn, shard_name);
+    DropUpstream(client, shard_name);
     MarkShardDown(shard_name, eof.ok() ? "upstream EOF"
                                        : "upstream read error");
     return;
@@ -750,16 +605,16 @@ void Router::OnUpstreamReadable(const std::shared_ptr<ClientConn>& conn,
   while (true) {
     const std::optional<std::string> line = upstream->in.NextLine();
     if (!line.has_value()) break;
-    HandleUpstreamResponse(conn, shard_name, *line);
-    if (conn->closed) return;
-    if (conn->upstreams.find(shard_name) == conn->upstreams.end()) return;
+    HandleUpstreamResponse(client, shard_name, *line);
+    if (client->conn->closed()) return;
+    if (client->upstreams.find(shard_name) == client->upstreams.end()) return;
   }
 }
 
-void Router::HandleUpstreamResponse(const std::shared_ptr<ClientConn>& conn,
+void Router::HandleUpstreamResponse(const ClientPtr& client,
                                     const std::string& shard_name,
                                     const std::string& line) {
-  InFlight& flight = conn->flight;
+  InFlight& flight = client->flight;
   if (!flight.active || flight.target != shard_name) return;  // stale
   const Result<JsonValue> parsed = JsonValue::Parse(line);
   const bool ok =
@@ -784,8 +639,8 @@ void Router::HandleUpstreamResponse(const std::shared_ptr<ClientConn>& conn,
     JsonValue::Object request;
     request["method"] = std::string("stream_open");
     request["params"] = JsonValue(std::move(params));
-    Upstream* upstream = conn->upstreams.at(shard_name).get();
-    SendOnUpstream(conn, upstream, JsonValue(std::move(request)).Dump());
+    Upstream* upstream = client->upstreams.at(shard_name).get();
+    SendOnUpstream(client, upstream, JsonValue(std::move(request)).Dump());
     return;
   }
 
@@ -810,8 +665,8 @@ void Router::HandleUpstreamResponse(const std::shared_ptr<ClientConn>& conn,
         // would shadow future NOT_FOUND repair and serve wrong detects.
         DiscardElsewhere(shard_name, flight.tenant, flight.session);
       }
-      Upstream* upstream = conn->upstreams.at(shard_name).get();
-      SendOnUpstream(conn, upstream, flight.line);
+      Upstream* upstream = client->upstreams.at(shard_name).get();
+      SendOnUpstream(client, upstream, flight.line);
       return;
     }
     JsonValue relayed =
@@ -822,7 +677,7 @@ void Router::HandleUpstreamResponse(const std::shared_ptr<ClientConn>& conn,
                                     .Find("error")
                                     ->GetString("message", ""))
             : ErrorResponse("NOT_FOUND", "session migration failed");
-    FinishWithLocalResponse(conn, std::move(relayed));
+    FinishWithLocalResponse(client, std::move(relayed));
     return;
   }
 
@@ -858,8 +713,8 @@ void Router::HandleUpstreamResponse(const std::shared_ptr<ClientConn>& conn,
       request["method"] = std::string("stream_open");
     }
     request["params"] = JsonValue(std::move(params));
-    Upstream* upstream = conn->upstreams.at(shard_name).get();
-    SendOnUpstream(conn, upstream, JsonValue(std::move(request)).Dump());
+    Upstream* upstream = client->upstreams.at(shard_name).get();
+    SendOnUpstream(client, upstream, JsonValue(std::move(request)).Dump());
     return;
   }
 
@@ -886,68 +741,27 @@ void Router::HandleUpstreamResponse(const std::shared_ptr<ClientConn>& conn,
     ++shard->forwarded;
   }
   flight = InFlight{};
-  RelayVerbatim(conn, line);
+  server_->Reply(client->conn, line);  // the shard's exact bytes
 }
 
-void Router::DropUpstream(const std::shared_ptr<ClientConn>& conn,
+void Router::DropUpstream(const ClientPtr& client,
                           const std::string& shard_name) {
-  const auto it = conn->upstreams.find(shard_name);
-  if (it == conn->upstreams.end()) return;
+  const auto it = client->upstreams.find(shard_name);
+  if (it == client->upstreams.end()) return;
   loop_->Remove(it->second->fd.get());
-  conn->upstreams.erase(it);
+  client->upstreams.erase(it);
 }
 
-// --- Client output ---------------------------------------------------------
-
-void Router::EnqueueResponse(const std::shared_ptr<ClientConn>& conn,
-                             JsonValue response) {
-  RelayVerbatim(conn, response.Dump());
-}
-
-void Router::RelayVerbatim(const std::shared_ptr<ClientConn>& conn,
-                           const std::string& line) {
-  if (conn->closed) return;
-  if (Status injected = util::FaultInjector::Check(conn->tcp ? "tcp/write"
-                                                             : "server/write");
-      !injected.ok()) {
-    CloseClient(conn);
-    return;
-  }
-  conn->out += line;
-  conn->out.push_back('\n');
-  FlushOut(conn);
-  if (!conn->closed && conn->out.empty()) ProcessNextLine(conn);
-}
-
-void Router::FlushOut(const std::shared_ptr<ClientConn>& conn) {
-  const Result<bool> sent =
-      SendSome(conn->fd.get(), conn->out, &conn->out_offset);
-  if (!sent.ok()) {
-    CloseClient(conn);
-    return;
-  }
-  if (sent.value()) {
-    conn->out.clear();
-    conn->out_offset = 0;
-    conn->busy = false;
-    (void)loop_->SetInterest(conn->fd.get(), /*want_read=*/!conn->saw_eof,
-                             /*want_write=*/false);
-  } else {
-    (void)loop_->SetInterest(conn->fd.get(), /*want_read=*/false,
-                             /*want_write=*/true);
-  }
-}
-
-void Router::CloseClient(const std::shared_ptr<ClientConn>& conn) {
-  if (conn->closed) return;
-  conn->closed = true;
-  conn->flight = InFlight{};
-  for (auto& [name, upstream] : conn->upstreams) {
+void Router::OnClientClosed(const ConnectionPtr& conn) {
+  const auto it = clients_.find(conn.get());
+  if (it == clients_.end()) return;
+  const ClientPtr client = it->second;
+  clients_.erase(it);
+  client->flight = InFlight{};
+  for (auto& [name, upstream] : client->upstreams) {
     loop_->Remove(upstream->fd.get());
   }
-  conn->upstreams.clear();
-  loop_->Remove(conn->fd.get());
-  connections_.erase(conn->fd.get());
+  client->upstreams.clear();
 }
 
 // --- Shard supervision -----------------------------------------------------
@@ -961,7 +775,7 @@ void Router::StartHeartbeatConnect(const std::string& name) {
   Shard* shard = FindShard(name);
   if (shard == nullptr || shard->hb_fd.valid() || shutting_down_) return;
   bool connected = false;
-  Result<FdHandle> fd =
+  Result<util::UniqueFd> fd =
       util::TcpConnectStart(shard->spec.host, shard->spec.port, &connected);
   if (!fd.ok()) {
     ScheduleReconnect(shard);
@@ -1028,8 +842,8 @@ void Router::SendPing(const std::string& name) {
 
 void Router::FlushHeartbeat(Shard* shard) {
   if (!shard->hb_fd.valid()) return;
-  const Result<bool> sent =
-      SendSome(shard->hb_fd.get(), shard->hb_out, &shard->hb_out_offset);
+  const Result<bool> sent = util::SendSome(shard->hb_fd.get(), shard->hb_out,
+                                           &shard->hb_out_offset);
   if (!sent.ok()) {
     const std::string name = shard->spec.name;
     CloseHeartbeat(shard);
@@ -1051,7 +865,8 @@ void Router::FlushHeartbeat(Shard* shard) {
 void Router::OnHeartbeatReadable(const std::string& name) {
   Shard* shard = FindShard(name);
   if (shard == nullptr || !shard->hb_fd.valid()) return;
-  const Result<bool> eof = DrainReadable(shard->hb_fd.get(), &shard->hb_in);
+  const Result<bool> eof =
+      util::DrainReadable(shard->hb_fd.get(), &shard->hb_in);
   if (!eof.ok() || eof.value()) {
     CloseHeartbeat(shard);
     if (shard->up) {
@@ -1148,27 +963,27 @@ void Router::MarkShardDown(const std::string& name,
   // Fail over every client touching the dead shard: idle upstreams are
   // closed (their next use would just fail slower), in-flight requests
   // re-dispatch against the ring minus this shard. Collect first — the
-  // re-dispatches below can mutate connections_.
-  std::vector<std::shared_ptr<ClientConn>> affected;
-  for (const auto& [fd, conn] : connections_) {
-    if (conn->upstreams.find(name) != conn->upstreams.end() ||
-        (conn->flight.active && conn->flight.target == name)) {
-      affected.push_back(conn);
+  // re-dispatches below can mutate clients_.
+  std::vector<ClientPtr> affected;
+  for (const auto& [conn, client] : clients_) {
+    if (client->upstreams.find(name) != client->upstreams.end() ||
+        (client->flight.active && client->flight.target == name)) {
+      affected.push_back(client);
     }
   }
-  for (const std::shared_ptr<ClientConn>& conn : affected) {
-    if (conn->closed) continue;
-    DropUpstream(conn, name);
-    if (conn->flight.active && conn->flight.target == name) {
-      ++conn->flight.attempts;
-      if (conn->flight.repair != InFlight::Repair::kNone) {
+  for (const ClientPtr& client : affected) {
+    if (client->conn->closed()) continue;
+    DropUpstream(client, name);
+    if (client->flight.active && client->flight.target == name) {
+      ++client->flight.attempts;
+      if (client->flight.repair != InFlight::Repair::kNone) {
         // The shard died mid-repair (discard/resume chain unfinished), so
         // the repair never happened: give the next target its one attempt,
         // or a thawable checkpoint would be surfaced as NOT_FOUND.
-        conn->flight.resume_tried = false;
+        client->flight.resume_tried = false;
       }
-      conn->flight.repair = InFlight::Repair::kNone;
-      DispatchInFlight(conn);
+      client->flight.repair = InFlight::Repair::kNone;
+      DispatchInFlight(client);
     }
   }
 }
@@ -1265,26 +1080,12 @@ void Router::ScheduleReconnect(Shard* shard) {
 
 // --- Lifecycle -------------------------------------------------------------
 
-void Router::OnWakePipe() {
-  char drain[256];
-  while (::read(g_wake_pipe[0], drain, sizeof(drain)) > 0) {
-  }
-  if (g_shutdown.load(std::memory_order_relaxed)) BeginShutdown();
-}
-
 void Router::BeginShutdown() {
   if (shutting_down_) return;
   shutting_down_ = true;
   // The router holds no durable state: stop accepting, let clients see EOF
   // and retry against a restarted router. Shards drain on their own.
-  if (unix_listener_.valid()) {
-    loop_->Remove(unix_listener_.get());
-    unix_listener_.Close();
-  }
-  if (tcp_listener_.valid()) {
-    loop_->Remove(tcp_listener_.get());
-    tcp_listener_.Close();
-  }
+  server_->StopAccepting();
   loop_->Stop();
 }
 
@@ -1299,42 +1100,21 @@ Status Router::Run() {
     shards_.emplace(spec.name, std::move(shard));
   }
 
-  if (!config_.listen_socket.empty()) {
-    PERIODICA_ASSIGN_OR_RETURN(unix_listener_,
-                               ListenUnix(config_.listen_socket));
-    PERIODICA_RETURN_NOT_OK(SetNonBlocking(unix_listener_.get()));
-    EventLoop::Handler handler;
-    handler.on_readable = [this] { OnAcceptable(/*tcp=*/false); };
-    PERIODICA_RETURN_NOT_OK(loop_->Add(unix_listener_.get(),
-                                       /*want_read=*/true,
-                                       /*want_write=*/false,
-                                       std::move(handler)));
-  }
-  if (config_.listen_port >= 0) {
-    std::uint16_t bound_port = 0;
-    PERIODICA_ASSIGN_OR_RETURN(
-        tcp_listener_,
-        util::TcpListen(config_.listen_host,
-                        static_cast<std::uint16_t>(config_.listen_port),
-                        /*backlog=*/64, &bound_port));
-    EventLoop::Handler handler;
-    handler.on_readable = [this] { OnAcceptable(/*tcp=*/true); };
-    PERIODICA_RETURN_NOT_OK(loop_->Add(tcp_listener_.get(),
-                                       /*want_read=*/true,
-                                       /*want_write=*/false,
-                                       std::move(handler)));
-    // Machine-readable (tools/soak.sh scrapes the ephemeral port).
-    std::fprintf(stderr, "periodica_router: tcp listening on %s:%u\n",
-                 config_.listen_host.c_str(),
-                 static_cast<unsigned>(bound_port));
-  }
-
-  PERIODICA_RETURN_NOT_OK(SetNonBlocking(g_wake_pipe[0]));
-  EventLoop::Handler wake_handler;
-  wake_handler.on_readable = [this] { OnWakePipe(); };
-  PERIODICA_RETURN_NOT_OK(loop_->Add(g_wake_pipe[0], /*want_read=*/true,
-                                     /*want_write=*/false,
-                                     std::move(wake_handler)));
+  serve::Server::Options options;
+  options.name = "periodica_router";
+  options.unix_path = config_.listen_socket;
+  options.tcp_host = config_.listen_host;
+  options.tcp_port = config_.listen_port;
+  options.max_line_bytes = static_cast<std::size_t>(config_.max_request_bytes);
+  options.on_line = [this](const ConnectionPtr& conn, const std::string& line) {
+    HandleRequestLine(conn, line);
+  };
+  options.on_close = [this](const ConnectionPtr& conn) {
+    OnClientClosed(conn);
+  };
+  options.on_shutdown = [this] { BeginShutdown(); };
+  server_ = std::make_unique<serve::Server>(loop_.get(), std::move(options));
+  PERIODICA_RETURN_NOT_OK(server_->Start());
 
   for (const ShardSpec& spec : specs_) {
     StartHeartbeatConnect(spec.name);
@@ -1349,42 +1129,6 @@ Status Router::Run() {
 }
 
 // --- main ------------------------------------------------------------------
-
-/// Same spec grammar as periodicad --faults (the soak arms tcp/* sites in
-/// the router to walk its upstream failure paths).
-Status ArmFaults(const std::string& spec,
-                 std::vector<std::unique_ptr<util::ScopedFault>>* armed) {
-  std::size_t start = 0;
-  while (start < spec.size()) {
-    std::size_t end = spec.find(',', start);
-    if (end == std::string::npos) end = spec.size();
-    const std::string item = spec.substr(start, end - start);
-    start = end + 1;
-    if (item.empty()) continue;
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("--faults item '" + item +
-                                     "' is not site:nth[:repeat]");
-    }
-    const std::string site = item.substr(0, colon);
-    std::string rest = item.substr(colon + 1);
-    bool repeat = false;
-    if (const std::size_t colon2 = rest.find(':');
-        colon2 != std::string::npos) {
-      repeat = rest.substr(colon2 + 1) == "repeat";
-      rest = rest.substr(0, colon2);
-    }
-    char* parse_end = nullptr;
-    const unsigned long long nth = std::strtoull(rest.c_str(), &parse_end, 10);
-    if (parse_end == rest.c_str() || *parse_end != '\0' || nth == 0) {
-      return Status::InvalidArgument("--faults item '" + item +
-                                     "' has a bad hit number");
-    }
-    armed->push_back(std::make_unique<util::ScopedFault>(
-        site, Status::IOError("injected fault at " + site), nth, repeat));
-  }
-  return Status::OK();
-}
 
 int Main(int argc, char** argv) {
   RouterConfig config;
@@ -1459,21 +1203,11 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<std::unique_ptr<util::ScopedFault>> armed_faults;
-  if (const Status status = ArmFaults(config.faults, &armed_faults);
+  if (const Status status = util::ArmFaults(config.faults, &armed_faults);
       !status.ok()) {
     std::fprintf(stderr, "periodica_router: %s\n", status.ToString().c_str());
     return 2;
   }
-
-  if (::pipe(g_wake_pipe) != 0) {
-    std::fprintf(stderr, "periodica_router: pipe() failed\n");
-    return 1;
-  }
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
 
   Router router(std::move(config), std::move(specs));
   if (const Status status = router.Run(); !status.ok()) {

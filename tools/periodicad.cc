@@ -4,9 +4,9 @@
 // Architecture (the multi-tenant stream hub):
 //
 //  * one epoll event loop (util::EventLoop) multiplexes every connection on
-//    a single thread — connections are state machines (LineBuffer in,
-//    buffered response out), not threads, so the daemon's thread count is
-//    O(worker pool), never O(connections);
+//    a single thread — connections are serve::Server state machines, not
+//    threads, so the daemon's thread count is O(worker pool), never
+//    O(connections);
 //  * CPU-bound work (mine, stream_detect, sleep) is dispatched to a bounded
 //    util::JobQueue; the completion hands its response back to the loop via
 //    Post(), which writes it out when the socket is writable;
@@ -43,16 +43,12 @@
 // family (armed via --faults) let the soak test walk the failure edges of
 // the exact binary that serves real traffic.
 
-#include <csignal>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <system_error>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -64,6 +60,7 @@
 #include "periodica/core/memory_estimate.h"
 #include "periodica/core/miner.h"
 #include "periodica/core/streaming_detector.h"
+#include "periodica/serve/server.h"
 #include "periodica/serve/session_table.h"
 #include "periodica/series/series.h"
 #include "periodica/store/kv_store.h"
@@ -76,34 +73,18 @@
 #include "periodica/util/json.h"
 #include "periodica/util/memory_budget.h"
 #include "periodica/util/sync.h"
-#include "periodica/util/tcp.h"
-#include "unix_socket.h"
 
 namespace periodica::tools {
 namespace {
 
+using serve::ConnectionPtr;
+using serve::ErrorResponse;
+using serve::OkResponse;
+using serve::RequestTenant;
 using serve::SessionTable;
 using util::EventLoop;
 using util::JobQueue;
 using util::JsonValue;
-
-/// Set from the signal handler, polled by the watchdog; the loop itself is
-/// woken through g_wake_pipe (registered in the event loop).
-///
-/// Ordering: relaxed. A one-way level-triggered flag: loops that read it a
-/// beat late run one extra iteration and then exit, which shutdown
-/// tolerates by construction (drain waits for the queue and joins every
-/// thread). No data is published through this flag — and a signal handler
-/// could not establish a happens-before edge anyway.
-std::atomic<bool> g_shutdown{false};
-int g_wake_pipe[2] = {-1, -1};
-
-void HandleShutdownSignal(int /*signo*/) {
-  g_shutdown.store(true, std::memory_order_relaxed);
-  // Wake the event loop; write(2) is async-signal-safe.
-  const char byte = 'x';
-  [[maybe_unused]] const ssize_t ignored = ::write(g_wake_pipe[1], &byte, 1);
-}
 
 struct DaemonConfig {
   std::string socket_path;
@@ -136,29 +117,6 @@ struct DaemonConfig {
   std::int64_t mine_cache_ttl_s = 0;      ///< 0 = cache entries never expire
   std::int64_t mine_cache_max_bytes = 0;  ///< 0 = no size bound
   std::string faults;  // "site:nth[:repeat],..." armed for the process life
-};
-
-/// One client connection as event-loop state: framed input, buffered
-/// output, and a serial-processing flag. Loop-confined — only the loop
-/// thread touches a Connection (job completions come back via Post).
-struct Connection {
-  Connection(FdHandle fd_in, std::size_t max_line, bool tcp_in)
-      : fd(std::move(fd_in)), in(max_line), tcp(tcp_in) {}
-
-  FdHandle fd;
-  LineBuffer in;
-  /// Arrived via the TCP listener: its I/O edges check the tcp/read and
-  /// tcp/write fault sites instead of server/read and server/write.
-  const bool tcp;
-  std::string out;             ///< undelivered response bytes
-  std::size_t out_offset = 0;  ///< prefix of `out` already sent
-  /// A request is in flight (possibly on a worker); the next pipelined
-  /// line is not parsed until its response has been fully flushed — the
-  /// same serial-per-connection semantics the thread-per-connection daemon
-  /// had.
-  bool busy = false;
-  bool saw_eof = false;  ///< peer half-closed; finish the backlog, then close
-  bool closed = false;   ///< unregistered; drop any late job completion
 };
 
 /// Per-tenant request counters (stats surface). Loop-confined.
@@ -205,22 +163,9 @@ class Daemon {
     return options;
   }
 
-  // Event-loop callbacks (loop thread).
-  void OnAcceptable();
-  void OnTcpAcceptable();
-  void RegisterConnection(FdHandle fd, bool tcp);
-  void OnReadable(const std::shared_ptr<Connection>& conn);
-  void OnWritable(const std::shared_ptr<Connection>& conn);
-  void OnWakePipe();
-
-  // Connection state machine (loop thread).
-  void ProcessNextLine(const std::shared_ptr<Connection>& conn);
-  void HandleRequestLine(const std::shared_ptr<Connection>& conn,
-                         const std::string& line);
-  void EnqueueResponse(const std::shared_ptr<Connection>& conn,
-                       JsonValue response);
-  void FlushOut(const std::shared_ptr<Connection>& conn);
-  void CloseConnection(const std::shared_ptr<Connection>& conn);
+  // Request dispatch (loop thread).
+  void HandleRequestLine(const ConnectionPtr& conn, const std::string& line);
+  void EnqueueResponse(const ConnectionPtr& conn, const JsonValue& response);
 
   // Request handlers. Immediate handlers run wholly on the loop thread and
   // return the response; queued handlers return nullopt after dispatching
@@ -232,27 +177,27 @@ class Daemon {
   JsonValue HandleStreamFeed(const JsonValue& params);
   JsonValue HandleStreamClose(const JsonValue& params);
   JsonValue HandleStreamDiscard(const JsonValue& params);
-  std::optional<JsonValue> HandleSleep(
-      const std::shared_ptr<Connection>& conn, const JsonValue& params,
-      const JsonValue* id);
-  std::optional<JsonValue> HandleMine(
-      const std::shared_ptr<Connection>& conn, const JsonValue& params,
-      const JsonValue* id);
-  std::optional<JsonValue> HandleStreamDetect(
-      const std::shared_ptr<Connection>& conn, const JsonValue& params,
-      const JsonValue* id);
+  std::optional<JsonValue> HandleSleep(const ConnectionPtr& conn,
+                                       const JsonValue& params,
+                                       const JsonValue* id);
+  std::optional<JsonValue> HandleMine(const ConnectionPtr& conn,
+                                      const JsonValue& params,
+                                      const JsonValue* id);
+  std::optional<JsonValue> HandleStreamDetect(const ConnectionPtr& conn,
+                                              const JsonValue& params,
+                                              const JsonValue* id);
 
   /// Submits `work` to the job queue; the completion posts the response
   /// (with `id` echoed) back to the loop, which writes it to `conn` if the
   /// connection is still alive. Returns the structured OVERLOADED (or
   /// draining) rejection when admission fails, nullopt when queued.
-  std::optional<JsonValue> StartQueued(
-      const std::shared_ptr<Connection>& conn, JobQueue::Priority priority,
-      std::function<JsonValue()> work, const JsonValue* id);
+  std::optional<JsonValue> StartQueued(const ConnectionPtr& conn,
+                                       JobQueue::Priority priority,
+                                       std::function<JsonValue()> work,
+                                       const JsonValue* id);
 
-  // Drain sequence (loop thread unless noted).
+  // Drain sequence (loop thread).
   void BeginDrain();
-  void MaybeFinishDrain();
   void CheckpointSessionsForDrain();
 
   void WatchdogLoop();
@@ -297,13 +242,9 @@ class Daemon {
   // set once in Run() before any other thread exists; Post() is its
   // thread-safe entry point. lint: unguarded(loop_): set before threads start
   std::unique_ptr<EventLoop> loop_;
-  /// lint: unguarded(listener_): loop-confined
-  FdHandle listener_;
-  /// TCP listener (--tcp_port); invalid when TCP serving is off.
-  /// lint: unguarded(tcp_listener_): loop-confined
-  FdHandle tcp_listener_;
-  /// Open connections by fd. lint: unguarded(connections_): loop-confined
-  std::map<int, std::shared_ptr<Connection>> connections_;
+  /// Listeners and connections; created in Run() like loop_.
+  /// lint: unguarded(server_): loop-confined
+  std::unique_ptr<serve::Server> server_;
   /// lint: unguarded(tenant_counters_): loop-confined
   std::map<std::string, TenantCounters> tenant_counters_;
   /// Result-cache traffic for `mine` requests carrying a series_id.
@@ -328,11 +269,6 @@ class Daemon {
   std::uint64_t mine_cache_expired_ = 0;
   /// lint: unguarded(draining_): loop-confined
   bool draining_ = false;
-  /// Set by a task the drain thread posts after queue_.Drain() returns.
-  /// lint: unguarded(drain_queue_done_): loop-confined
-  bool drain_queue_done_ = false;
-  /// lint: unguarded(drain_done_): loop-confined
-  bool drain_done_ = false;
   /// Runs queue_.Drain() off-loop so completions can still flush through
   /// the live loop. Created and joined by the loop thread (join happens
   /// after Run() returns). lint: unguarded(drain_thread_): loop-confined
@@ -355,16 +291,6 @@ class Daemon {
 };
 
 // --- JSON response helpers -------------------------------------------------
-
-JsonValue ErrorResponse(const std::string& code, const std::string& message) {
-  JsonValue::Object error;
-  error["code"] = code;
-  error["message"] = message;
-  JsonValue::Object response;
-  response["ok"] = false;
-  response["error"] = JsonValue(std::move(error));
-  return JsonValue(std::move(response));
-}
 
 JsonValue StatusToResponse(const Status& status) {
   std::string code = "INTERNAL";
@@ -389,13 +315,6 @@ JsonValue TableStatusToResponse(const Status& status,
       static_cast<std::size_t>(rejection.retry_after_ms);
   error["tenant"] = rejection.tenant;
   return response;
-}
-
-JsonValue OkResponse(JsonValue::Object result) {
-  JsonValue::Object response;
-  response["ok"] = true;
-  response["result"] = JsonValue(std::move(result));
-  return JsonValue(std::move(response));
 }
 
 JsonValue TableToJson(const PeriodicityTable& table,
@@ -439,126 +358,10 @@ JobQueue::Priority ParsePriority(const JsonValue& params) {
   return JobQueue::Priority::kNormal;
 }
 
-/// The tenant a request acts for: the optional "tenant" param, defaulting
-/// to the shared "default" tenant (whose checkpoint paths keep the
-/// pre-tenant layout).
-std::string RequestTenant(const JsonValue& params) {
-  std::string tenant = params.GetString("tenant", "default");
-  return tenant.empty() ? "default" : tenant;
-}
+// --- Request dispatch ------------------------------------------------------
 
-// --- Event-loop plumbing ---------------------------------------------------
-
-void Daemon::OnAcceptable() {
-  while (true) {
-    if (Status injected = util::FaultInjector::Check("server/accept");
-        !injected.ok()) {
-      // Injected accept failure: take and drop the pending connection, as a
-      // transient accept(2) error would.
-      const int dropped = ::accept(listener_.get(), nullptr, nullptr);
-      if (dropped >= 0) ::close(dropped);
-      continue;
-    }
-    const int client = ::accept(listener_.get(), nullptr, nullptr);
-    if (client < 0) return;  // EAGAIN (drained) or transient failure
-    FdHandle fd(client);
-    if (!SetNonBlocking(fd.get()).ok()) continue;
-    RegisterConnection(std::move(fd), /*tcp=*/false);
-  }
-}
-
-void Daemon::OnTcpAcceptable() {
-  while (true) {
-    Result<FdHandle> accepted = util::TcpAccept(tcp_listener_.get());
-    if (!accepted.ok()) {
-      if (accepted.status().IsUnavailable()) return;  // backlog drained
-      // Injected (tcp/accept) or transient failure: take and drop one
-      // pending connection so a repeat-armed fault cannot spin the
-      // level-triggered loop. The client sees a reset and retries.
-      const int dropped = ::accept(tcp_listener_.get(), nullptr, nullptr);
-      if (dropped >= 0) ::close(dropped);
-      continue;
-    }
-    RegisterConnection(std::move(accepted.value()), /*tcp=*/true);
-  }
-}
-
-void Daemon::RegisterConnection(FdHandle fd, bool tcp) {
-  auto conn = std::make_shared<Connection>(
-      std::move(fd), static_cast<std::size_t>(config_.max_request_bytes),
-      tcp);
-  EventLoop::Handler handler;
-  handler.on_readable = [this, conn] { OnReadable(conn); };
-  handler.on_writable = [this, conn] { OnWritable(conn); };
-  const int raw = conn->fd.get();
-  if (!loop_->Add(raw, /*want_read=*/true, /*want_write=*/false,
-                  std::move(handler))
-           .ok()) {
-    return;  // conn (and its fd) die here
-  }
-  connections_.emplace(raw, std::move(conn));
-}
-
-void Daemon::OnReadable(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed) return;
-  if (Status injected = util::FaultInjector::Check(conn->tcp ? "tcp/read"
-                                                             : "server/read");
-      !injected.ok()) {
-    // An injected read failure behaves like a broken peer: drop the
-    // connection. The client sees EOF and retries; no partial state leaks.
-    CloseConnection(conn);
-    return;
-  }
-  const Result<bool> eof = DrainReadable(conn->fd.get(), &conn->in);
-  if (!eof.ok()) {
-    CloseConnection(conn);
-    return;
-  }
-  if (eof.value()) {
-    if (conn->in.mid_line()) {
-      CloseConnection(conn);  // peer died mid-request
-      return;
-    }
-    conn->saw_eof = true;
-    // Drop read interest: a level-triggered EOF reports readable forever.
-    (void)loop_->SetInterest(conn->fd.get(), /*want_read=*/false,
-                             /*want_write=*/!conn->out.empty());
-  }
-  ProcessNextLine(conn);
-}
-
-void Daemon::OnWritable(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed) return;
-  FlushOut(conn);
-  if (!conn->closed && conn->out.empty()) ProcessNextLine(conn);
-}
-
-void Daemon::OnWakePipe() {
-  char drain[256];
-  while (::read(g_wake_pipe[0], drain, sizeof(drain)) > 0) {
-  }
-  if (g_shutdown.load(std::memory_order_relaxed)) BeginDrain();
-}
-
-void Daemon::ProcessNextLine(const std::shared_ptr<Connection>& conn) {
-  // Serial per connection: pull the next buffered request only when the
-  // previous response is fully out. During drain, buffered-but-unparsed
-  // requests are dropped (the thread-per-connection daemon did the same).
-  while (!conn->busy && !conn->closed && !draining_) {
-    const std::optional<std::string> line = conn->in.NextLine();
-    if (!line.has_value()) break;
-    if (line->empty()) continue;
-    HandleRequestLine(conn, *line);
-  }
-  if (!conn->closed && conn->saw_eof && !conn->busy && conn->out.empty() &&
-      !conn->in.mid_line()) {
-    CloseConnection(conn);
-  }
-}
-
-void Daemon::HandleRequestLine(const std::shared_ptr<Connection>& conn,
+void Daemon::HandleRequestLine(const ConnectionPtr& conn,
                                const std::string& line) {
-  conn->busy = true;
   const Result<JsonValue> parsed = JsonValue::Parse(line);
   if (!parsed.ok()) {
     EnqueueResponse(
@@ -615,58 +418,18 @@ void Daemon::HandleRequestLine(const std::shared_ptr<Connection>& conn,
   }
 }
 
-void Daemon::EnqueueResponse(const std::shared_ptr<Connection>& conn,
-                             JsonValue response) {
-  if (conn->closed) return;
-  if (Status injected = util::FaultInjector::Check(conn->tcp ? "tcp/write"
-                                                             : "server/write");
-      !injected.ok()) {
-    CloseConnection(conn);
-    return;
-  }
-  conn->out += response.Dump();
-  conn->out.push_back('\n');
-  FlushOut(conn);
-}
-
-void Daemon::FlushOut(const std::shared_ptr<Connection>& conn) {
-  const Result<bool> sent =
-      SendSome(conn->fd.get(), conn->out, &conn->out_offset);
-  if (!sent.ok()) {
-    CloseConnection(conn);
-    return;
-  }
-  if (sent.value()) {
-    conn->out.clear();
-    conn->out_offset = 0;
-    conn->busy = false;
-    (void)loop_->SetInterest(conn->fd.get(), /*want_read=*/!conn->saw_eof,
-                             /*want_write=*/false);
-    if (draining_) MaybeFinishDrain();
-  } else {
-    // Short write: the kernel buffer is full. Wait for writability; reading
-    // stays paused (the connection is serial anyway) so a slow consumer
-    // exerts backpressure instead of growing `out` without bound.
-    (void)loop_->SetInterest(conn->fd.get(), /*want_read=*/false,
-                             /*want_write=*/true);
-  }
-}
-
-void Daemon::CloseConnection(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed) return;
-  conn->closed = true;
-  loop_->Remove(conn->fd.get());
-  connections_.erase(conn->fd.get());
-  if (draining_) MaybeFinishDrain();
+void Daemon::EnqueueResponse(const ConnectionPtr& conn,
+                             const JsonValue& response) {
+  server_->Reply(conn, response.Dump());
 }
 
 // --- Request handlers ------------------------------------------------------
 
 std::optional<JsonValue> Daemon::StartQueued(
-    const std::shared_ptr<Connection>& conn, JobQueue::Priority priority,
+    const ConnectionPtr& conn, JobQueue::Priority priority,
     std::function<JsonValue()> work, const JsonValue* id) {
   JobQueue::OverloadInfo overload;
-  std::weak_ptr<Connection> weak = conn;
+  std::weak_ptr<serve::Connection> weak = conn;
   JsonValue id_copy;
   const bool has_id = id != nullptr;
   if (has_id) id_copy = *id;
@@ -676,11 +439,10 @@ std::optional<JsonValue> Daemon::StartQueued(
        has_id] {
         JsonValue response = work();
         if (has_id) response.mutable_object()["id"] = id_copy;
-        loop_->Post([this, weak, response = std::move(response)]() mutable {
-          const std::shared_ptr<Connection> conn = weak.lock();
-          if (conn == nullptr || conn->closed) return;  // peer went away
-          EnqueueResponse(conn, std::move(response));
-          if (!conn->closed && conn->out.empty()) ProcessNextLine(conn);
+        loop_->Post([this, weak, response = std::move(response)] {
+          const ConnectionPtr conn = weak.lock();
+          if (conn == nullptr) return;  // peer went away
+          EnqueueResponse(conn, response);
         });
       },
       &overload);
@@ -812,7 +574,7 @@ JsonValue Daemon::HandleStats() {
   result["sessions"] = table.sessions;
   result["session_table"] = JsonValue(std::move(session_table));
   result["tenants"] = JsonValue(std::move(tenants));
-  result["connections"] = connections_.size();
+  result["connections"] = server_->num_connections();
   result["event_loop"] = JsonValue(std::move(event_loop));
   result["watchdog_cancels"] =
       watchdog_cancels_.load(std::memory_order_relaxed);
@@ -821,8 +583,7 @@ JsonValue Daemon::HandleStats() {
 }
 
 std::optional<JsonValue> Daemon::HandleSleep(
-    const std::shared_ptr<Connection>& conn, const JsonValue& params,
-    const JsonValue* id) {
+    const ConnectionPtr& conn, const JsonValue& params, const JsonValue* id) {
   // Diagnostic: occupies one worker slot for `ms`, cancellable like a real
   // mine. Lets operators (and the e2e tests) probe admission control, the
   // watchdog and drain behavior with precisely-timed load.
@@ -856,8 +617,7 @@ std::optional<JsonValue> Daemon::HandleSleep(
 }
 
 std::optional<JsonValue> Daemon::HandleMine(
-    const std::shared_ptr<Connection>& conn, const JsonValue& params,
-    const JsonValue* id) {
+    const ConnectionPtr& conn, const JsonValue& params, const JsonValue* id) {
   const std::string text = params.GetString("series", "");
   if (text.empty()) {
     return ErrorResponse("INVALID_ARGUMENT",
@@ -1190,8 +950,7 @@ JsonValue Daemon::HandleStreamFeed(const JsonValue& params) {
 }
 
 std::optional<JsonValue> Daemon::HandleStreamDetect(
-    const std::shared_ptr<Connection>& conn, const JsonValue& params,
-    const JsonValue* id) {
+    const ConnectionPtr& conn, const JsonValue& params, const JsonValue* id) {
   const std::string name = params.GetString("session", "");
   const std::string tenant = RequestTenant(params);
   if (!table_.Contains(tenant, name)) {
@@ -1357,34 +1116,19 @@ void Daemon::BeginDrain() {
   std::fprintf(stderr, "periodicad: draining...\n");
   // Stop accepting: no new connections, and the queue rejects new work with
   // draining=true for anything that still races in.
-  loop_->Remove(listener_.get());
-  listener_.Close();
-  ::unlink(config_.socket_path.c_str());
-  if (tcp_listener_.valid()) {
-    loop_->Remove(tcp_listener_.get());
-    tcp_listener_.Close();
-  }
+  server_->StopAccepting();
   // Drain the queue off-loop: in-flight jobs finish and their completions
-  // flush through the still-running loop; the final posted task fires once
+  // flush through the still-running loop; the final posted task runs once
   // every completion is already behind it (Post order is submission order).
   drain_thread_ = std::thread([this] {
     queue_.Drain();
     loop_->Post([this] {
-      drain_queue_done_ = true;
-      MaybeFinishDrain();
+      server_->WhenFlushed([this] {
+        CheckpointSessionsForDrain();
+        loop_->Stop();
+      });
     });
   });
-  MaybeFinishDrain();
-}
-
-void Daemon::MaybeFinishDrain() {
-  if (!draining_ || !drain_queue_done_ || drain_done_) return;
-  for (const auto& [fd, conn] : connections_) {
-    if (!conn->out.empty()) return;  // a response is still flushing
-  }
-  drain_done_ = true;
-  CheckpointSessionsForDrain();
-  loop_->Stop();
 }
 
 void Daemon::CheckpointSessionsForDrain() {
@@ -1396,7 +1140,7 @@ void Daemon::CheckpointSessionsForDrain() {
 }
 
 void Daemon::WatchdogLoop() {
-  while (!g_shutdown.load(std::memory_order_relaxed)) {
+  while (!serve::Server::ShutdownRequested()) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(config_.watchdog_interval_ms));
     if (config_.wedge_timeout_ms <= 0) continue;
@@ -1422,46 +1166,19 @@ void Daemon::WatchdogLoop() {
 }
 
 Status Daemon::Run() {
-  Result<std::unique_ptr<EventLoop>> loop = EventLoop::Create();
-  PERIODICA_RETURN_NOT_OK(loop.status());
-  loop_ = std::move(loop.value());
-
-  Result<FdHandle> listener = ListenUnix(config_.socket_path);
-  PERIODICA_RETURN_NOT_OK(listener.status());
-  listener_ = std::move(listener.value());
-  PERIODICA_RETURN_NOT_OK(SetNonBlocking(listener_.get()));
-  PERIODICA_RETURN_NOT_OK(SetNonBlocking(g_wake_pipe[0]));
-
-  EventLoop::Handler accept_handler;
-  accept_handler.on_readable = [this] { OnAcceptable(); };
-  PERIODICA_RETURN_NOT_OK(loop_->Add(listener_.get(), /*want_read=*/true,
-                                     /*want_write=*/false,
-                                     std::move(accept_handler)));
-  EventLoop::Handler wake_handler;
-  wake_handler.on_readable = [this] { OnWakePipe(); };
-  PERIODICA_RETURN_NOT_OK(loop_->Add(g_wake_pipe[0], /*want_read=*/true,
-                                     /*want_write=*/false,
-                                     std::move(wake_handler)));
-
-  if (config_.tcp_port >= 0) {
-    std::uint16_t bound_port = 0;
-    Result<FdHandle> tcp_listener = util::TcpListen(
-        config_.tcp_host, static_cast<std::uint16_t>(config_.tcp_port),
-        /*backlog=*/64, &bound_port);
-    PERIODICA_RETURN_NOT_OK(tcp_listener.status());
-    tcp_listener_ = std::move(tcp_listener.value());
-    EventLoop::Handler tcp_accept_handler;
-    tcp_accept_handler.on_readable = [this] { OnTcpAcceptable(); };
-    PERIODICA_RETURN_NOT_OK(loop_->Add(tcp_listener_.get(),
-                                       /*want_read=*/true,
-                                       /*want_write=*/false,
-                                       std::move(tcp_accept_handler)));
-    // Machine-readable: the soak and tests pass --tcp_port=0 and scrape
-    // the actual port from this line.
-    std::fprintf(stderr, "periodicad: tcp listening on %s:%u\n",
-                 config_.tcp_host.c_str(),
-                 static_cast<unsigned>(bound_port));
-  }
+  PERIODICA_ASSIGN_OR_RETURN(loop_, EventLoop::Create());
+  serve::Server::Options options;
+  options.name = "periodicad";
+  options.unix_path = config_.socket_path;
+  options.tcp_host = config_.tcp_host;
+  options.tcp_port = config_.tcp_port;
+  options.max_line_bytes = static_cast<std::size_t>(config_.max_request_bytes);
+  options.on_line = [this](const ConnectionPtr& conn, const std::string& line) {
+    HandleRequestLine(conn, line);
+  };
+  options.on_shutdown = [this] { BeginDrain(); };
+  server_ = std::make_unique<serve::Server>(loop_.get(), std::move(options));
+  PERIODICA_RETURN_NOT_OK(server_->Start());
 
   LoadMineCacheIndex();
 
@@ -1476,58 +1193,11 @@ Status Daemon::Run() {
   // sessions checkpointed -> Stop).
   const Status served = loop_->Run();
 
-  g_shutdown.store(true, std::memory_order_relaxed);
+  serve::Server::RequestShutdown();  // stops the watchdog
   if (drain_thread_.joinable()) drain_thread_.join();
   watchdog.join();
-  // Close every remaining connection; their pending output (if any) was
-  // already flushed by MaybeFinishDrain's gating.
-  for (auto& [fd, conn] : connections_) {
-    conn->closed = true;
-    loop_->Remove(fd);
-  }
-  connections_.clear();
   PERIODICA_RETURN_NOT_OK(served);
   std::fprintf(stderr, "periodicad: drained, exiting\n");
-  return Status::OK();
-}
-
-// --- Fault arming ----------------------------------------------------------
-
-/// Parses "--faults site:nth[:repeat],..." into armed ScopedFaults that live
-/// for the process lifetime (the soak's knob for exercising the
-/// server/accept, server/read, server/write, event_loop/poll and
-/// job_queue/enqueue sites in the shipped binary).
-Status ArmFaults(const std::string& spec,
-                 std::vector<std::unique_ptr<util::ScopedFault>>* armed) {
-  std::size_t start = 0;
-  while (start < spec.size()) {
-    std::size_t end = spec.find(',', start);
-    if (end == std::string::npos) end = spec.size();
-    const std::string item = spec.substr(start, end - start);
-    start = end + 1;
-    if (item.empty()) continue;
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("--faults item '" + item +
-                                     "' is not site:nth[:repeat]");
-    }
-    const std::string site = item.substr(0, colon);
-    std::string rest = item.substr(colon + 1);
-    bool repeat = false;
-    if (const std::size_t colon2 = rest.find(':');
-        colon2 != std::string::npos) {
-      repeat = rest.substr(colon2 + 1) == "repeat";
-      rest = rest.substr(0, colon2);
-    }
-    char* parse_end = nullptr;
-    const unsigned long long nth = std::strtoull(rest.c_str(), &parse_end, 10);
-    if (parse_end == rest.c_str() || *parse_end != '\0' || nth == 0) {
-      return Status::InvalidArgument("--faults item '" + item +
-                                     "' has a bad hit number");
-    }
-    armed->push_back(std::make_unique<util::ScopedFault>(
-        site, Status::IOError("injected fault at " + site), nth, repeat));
-  }
   return Status::OK();
 }
 
@@ -1644,7 +1314,7 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<std::unique_ptr<util::ScopedFault>> armed_faults;
-  if (const Status status = ArmFaults(config.faults, &armed_faults);
+  if (const Status status = util::ArmFaults(config.faults, &armed_faults);
       !status.ok()) {
     std::fprintf(stderr, "periodicad: %s\n", status.ToString().c_str());
     return 2;
@@ -1683,16 +1353,6 @@ int Main(int argc, char** argv) {
                    stats.segments);
     }
   }
-
-  if (::pipe(g_wake_pipe) != 0) {
-    std::fprintf(stderr, "periodicad: pipe() failed\n");
-    return 1;
-  }
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
 
   Daemon daemon(std::move(config));
   if (const Status status = daemon.Run(); !status.ok()) {

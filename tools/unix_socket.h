@@ -1,22 +1,13 @@
 #ifndef PERIODICA_TOOLS_UNIX_SOCKET_H_
 #define PERIODICA_TOOLS_UNIX_SOCKET_H_
 
-// Unix-domain-socket helpers shared by periodicad, its client, the load
-// generator and the end-to-end tests. Newline-delimited messages (one JSON
-// document per line, docs/SERVING.md); all functions return Status instead
-// of throwing, matching the library idiom.
-//
-// Two usage shapes share the same framing:
-//   - blocking callers (client, load generator, tests) use LineReader /
-//     SendLine, which retry EINTR and short reads/writes internally;
-//   - the event-loop daemon puts fds in non-blocking mode (SetNonBlocking)
-//     and composes LineBuffer with DrainReadable / SendSome, which stop at
-//     EAGAIN instead of blocking.
+// Blocking client helpers shared by periodica_client, the load generator
+// and the end-to-end tests: newline-delimited messages (one JSON document
+// per line, docs/SERVING.md) over the framing in util/socket.h, retrying
+// EINTR and short reads/writes internally. All functions return Status
+// instead of throwing, matching the library idiom.
 
-#include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -24,74 +15,16 @@
 #include <string>
 
 #include "periodica/util/result.h"
+#include "periodica/util/socket.h"
 #include "periodica/util/status.h"
 #include "periodica/util/tcp.h"
 
 namespace periodica::tools {
 
-/// An owned file descriptor (closes on destruction; movable) — the same
-/// type the TCP helpers in util/tcp.h hand out, so Unix-socket and TCP
-/// connections flow through identical plumbing.
+/// An owned file descriptor (closes on destruction; movable).
 using FdHandle = util::UniqueFd;
 
-inline Status FillSockAddr(const std::string& path, sockaddr_un* addr) {
-  if (path.empty() || path.size() >= sizeof(addr->sun_path)) {
-    return Status::InvalidArgument("socket path empty or too long: " + path);
-  }
-  std::memset(addr, 0, sizeof(*addr));
-  addr->sun_family = AF_UNIX;
-  std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
-  return Status::OK();
-}
-
-/// Binds and listens on a Unix stream socket at `path` (unlinking any stale
-/// socket file first).
-inline Result<FdHandle> ListenUnix(const std::string& path, int backlog = 64) {
-  sockaddr_un addr{};
-  PERIODICA_RETURN_NOT_OK(FillSockAddr(path, &addr));
-  FdHandle fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-  if (!fd.valid()) {
-    return Status::IOError("socket(): " + std::string(std::strerror(errno)));
-  }
-  ::unlink(path.c_str());
-  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return Status::IOError("bind(" + path +
-                           "): " + std::string(std::strerror(errno)));
-  }
-  if (::listen(fd.get(), backlog) != 0) {
-    return Status::IOError("listen(" + path +
-                           "): " + std::string(std::strerror(errno)));
-  }
-  return fd;
-}
-
-/// Connects to the Unix stream socket at `path`.
-inline Result<FdHandle> ConnectUnix(const std::string& path) {
-  sockaddr_un addr{};
-  PERIODICA_RETURN_NOT_OK(FillSockAddr(path, &addr));
-  FdHandle fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-  if (!fd.valid()) {
-    return Status::IOError("socket(): " + std::string(std::strerror(errno)));
-  }
-  // lint: blocking(connect): one-shot client dial — no event loop here
-  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    return Status::IOError("connect(" + path +
-                           "): " + std::string(std::strerror(errno)));
-  }
-  return fd;
-}
-
-/// Switches `fd` to non-blocking mode (event-loop registration).
-inline Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    return Status::IOError("fcntl(O_NONBLOCK): " +
-                           std::string(std::strerror(errno)));
-  }
-  return Status::OK();
-}
+using util::ConnectUnix;
 
 /// Writes `line` plus a trailing newline, retrying on EINTR and partial
 /// writes.
@@ -110,96 +43,6 @@ inline Status SendLine(int fd, const std::string& line) {
     sent += static_cast<std::size_t>(wrote);
   }
   return Status::OK();
-}
-
-/// Newline framing over externally fed bytes: the transport-independent
-/// core of LineReader, and the per-connection input state of the event-loop
-/// daemon (which feeds it whatever recv returned and pops complete lines).
-/// `max_line` bounds a single message so a malicious or broken peer cannot
-/// balloon memory; bytes arriving one at a time (short reads) frame
-/// identically to one big write.
-class LineBuffer {
- public:
-  explicit LineBuffer(std::size_t max_line = 64u << 20)
-      : max_line_(max_line) {}
-
-  /// Appends raw bytes. Fails with IOError as soon as the unterminated tail
-  /// exceeds `max_line` (complete-but-unpopped lines never trip it).
-  Status Feed(const char* data, std::size_t size) {
-    buffer_.append(data, size);
-    if (buffer_.find('\n', searched_) == std::string::npos) {
-      // No newline anywhere: remember that so the next Feed/NextLine only
-      // scans fresh bytes (keeps pathological long lines O(n), not O(n^2)).
-      searched_ = buffer_.size();
-      if (buffer_.size() > max_line_) {
-        return Status::IOError("line exceeds " + std::to_string(max_line_) +
-                               " bytes");
-      }
-    }
-    return Status::OK();
-  }
-
-  /// Pops the next complete line (without its newline), or nullopt when no
-  /// full line is buffered yet.
-  std::optional<std::string> NextLine() {
-    const std::size_t newline = buffer_.find('\n', searched_);
-    if (newline == std::string::npos) {
-      searched_ = buffer_.size();
-      return std::nullopt;
-    }
-    std::string line = buffer_.substr(0, newline);
-    buffer_.erase(0, newline + 1);
-    searched_ = 0;
-    return line;
-  }
-
-  /// True when a partial (unterminated) message is pending — EOF now means
-  /// the peer died mid-line.
-  [[nodiscard]] bool mid_line() const { return !buffer_.empty(); }
-  [[nodiscard]] std::size_t buffered_bytes() const { return buffer_.size(); }
-
- private:
-  std::size_t max_line_;  ///< non-const so a fresh LineBuffer can be assigned
-  std::string buffer_;
-  std::size_t searched_ = 0;  ///< prefix known to contain no newline
-};
-
-/// Drains everything currently readable from non-blocking `fd` into
-/// `buffer`. Returns true on EOF (peer closed), false once the socket would
-/// block; IOError on a read failure or an oversized line.
-inline Result<bool> DrainReadable(int fd, LineBuffer* buffer) {
-  while (true) {
-    char chunk[16384];
-    // lint: blocking(recv): fd is non-blocking — stops at EAGAIN
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
-      return Status::IOError("recv(): " + std::string(std::strerror(errno)));
-    }
-    if (got == 0) return true;
-    PERIODICA_RETURN_NOT_OK(buffer->Feed(chunk, static_cast<std::size_t>(got)));
-  }
-}
-
-/// Sends as much of `data` from `*offset` onward as non-blocking `fd`
-/// accepts, advancing `*offset` past what went out (short writes leave the
-/// remainder for the next writable event). Returns true when everything has
-/// been sent, false when the socket filled up.
-inline Result<bool> SendSome(int fd, const std::string& data,
-                             std::size_t* offset) {
-  while (*offset < data.size()) {
-    // lint: blocking(send): fd is non-blocking — stops at EAGAIN
-    const ssize_t wrote = ::send(fd, data.data() + *offset,
-                                 data.size() - *offset, MSG_NOSIGNAL);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
-      return Status::IOError("send(): " + std::string(std::strerror(errno)));
-    }
-    *offset += static_cast<std::size_t>(wrote);
-  }
-  return true;
 }
 
 /// Buffered newline-framed blocking reader for one connection (LineBuffer
@@ -237,7 +80,7 @@ class LineReader {
 
  private:
   int fd_;
-  LineBuffer buffer_;
+  util::LineBuffer buffer_;
 };
 
 /// Dials whichever transport the flags selected: a non-empty `tcp_spec`
