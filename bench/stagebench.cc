@@ -1,8 +1,8 @@
 // Per-stage performance harness for the mining pipeline: times the hot
-// stages separately — indicator construction, stage-1 per-symbol indicator
-// FFTs, stage-2 DynamicBitset phase refinement (once per available SIMD
-// kernel), and the chunked bounded-lag correlator — and, with --json,
-// writes the record behind BENCH_stages.json, the baseline
+// stages separately — indicator construction, stage-1 per-symbol match
+// counts and stage-2 DynamicBitset phase refinement (each once per
+// available SIMD kernel), and the chunked bounded-lag correlator — and,
+// with --json, writes the record behind BENCH_stages.json, the baseline
 // tools/perf_gate.py gates CI against.
 //
 //   stagebench                       # full scale: n = 2^18, max_period 4096
@@ -13,10 +13,13 @@
 // runs once unrecorded to warm caches (FFT plans, twiddles, page faults),
 // then --repeats recorded runs; the JSON keeps every wall-clock sample plus
 // min/mean/max and the minimum cycle count (util::CycleCount — see
-// "cycle_counter" in the output for the unit). Stage-2 runs once per kernel
-// available on this host via the ScopedSimdKernelOverride test hook, with a
-// checksum asserting all kernels computed identical phase counts; the
-// scalar-vs-best ratio is reported as "stage2_simd_speedup".
+// "cycle_counter" in the output for the unit). Stages 1 and 2 run once per
+// kernel available on this host via the ScopedSimdKernelOverride test hook.
+// Stage 1 records which path (lag words or FFT, core/stage1.h) each symbol
+// took under that kernel and the kernel's crossover lag count, and asserts
+// every kernel produced the same counts; stage 2 asserts the same with a
+// checksum over the phase counts, and its scalar-vs-best ratio is reported
+// as "stage2_simd_speedup".
 //
 // JSON schema: documented in bench/README.md ("BENCH_stages.json").
 
@@ -33,6 +36,7 @@
 
 #include "bench_util.h"
 #include "periodica/core/detail.h"
+#include "periodica/core/stage1.h"
 #include "periodica/fft/chunked.h"
 #include "periodica/gen/synthetic.h"
 #include "periodica/util/bitset.h"
@@ -61,12 +65,35 @@ const char* ArchName() {
 #endif
 }
 
+/// The CPU model the host reports ("unknown" where it does not), recorded
+/// so a baseline names the machine it came from.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model = line.substr(colon + 1);
+    model.erase(0, model.find_first_not_of(" \t"));
+    std::string escaped;  // JSON-safe: drop quotes and backslashes
+    for (const char c : model) {
+      if (c != '"' && c != '\\') escaped += c;
+    }
+    return escaped;
+  }
+  return "unknown";
+}
+
 /// One timed stage: every recorded wall sample plus the minimum cycle count.
 struct StageResult {
   std::string stage;
   std::string kernel;  // "default" when the stage does not dispatch on SIMD
   std::vector<double> samples_ms;
   std::uint64_t cycles_min = 0;
+  /// Stage 1 only: the path each symbol took and the kernel's crossover.
+  std::vector<internal::Stage1Path> paths;
+  std::size_t crossover_lags = 0;
 
   [[nodiscard]] double MinMs() const {
     return *std::min_element(samples_ms.begin(), samples_ms.end());
@@ -179,14 +206,36 @@ int Run(int argc, char** argv) {
   // the timed regions).
   const FftConvolutionMiner miner(series);
 
-  // --- Stage 1: per-symbol indicator FFT autocorrelations. ---------------
-  std::vector<std::vector<std::uint64_t>> match_counts(
-      static_cast<std::size_t>(sigma));
-  results.push_back(TimeStage("stage1_symbol_fft", "default", repeats, [&] {
-    for (std::size_t k = 0; k < static_cast<std::size_t>(sigma); ++k) {
-      match_counts[k] = miner.MatchCounts(static_cast<SymbolId>(k), max_lag);
-    }
-  }));
+  int num_kernels = 0;
+  const util::SimdKernel* kernels = util::AvailableSimdKernels(&num_kernels);
+
+  // --- Stage 1: per-symbol match counts, once per available SIMD kernel. --
+  // The kernel decides the path (lag words or FFT) as well as the word
+  // loop's speed, so each kernel gets its own row; every kernel must
+  // produce the counts the first one did.
+  std::vector<std::vector<std::uint64_t>> match_counts;
+  for (int ki = 0; ki < num_kernels; ++ki) {
+    const util::SimdKernel kernel = kernels[ki];
+    const util::ScopedSimdKernelOverride forced(kernel);
+    std::vector<std::vector<std::uint64_t>> counts(
+        static_cast<std::size_t>(sigma));
+    std::vector<internal::Stage1Path> paths(counts.size());
+    StageResult timed = TimeStage(
+        "stage1_match_counts", util::SimdKernelName(kernel), repeats, [&] {
+          for (std::size_t k = 0; k < counts.size(); ++k) {
+            counts[k] = miner.MatchCounts(static_cast<SymbolId>(k), max_lag,
+                                          &paths[k]);
+          }
+        });
+    if (match_counts.empty()) match_counts = counts;
+    PERIODICA_CHECK(counts == match_counts)
+        << "kernel " << util::SimdKernelName(kernel)
+        << " produced different stage-1 counts than "
+        << util::SimdKernelName(kernels[0]);
+    timed.paths = std::move(paths);
+    timed.crossover_lags = internal::Stage1CrossoverLags(length, kernel);
+    results.push_back(std::move(timed));
+  }
 
   // Candidate derivation: exactly the Mine() lossless aggregate pre-filter
   // (counts[p] != 0, enough repetitions for min_pairs = 1, and the
@@ -226,8 +275,6 @@ int Run(int argc, char** argv) {
   // with counting buckets. The checksum folds every (phase, count) pair, so
   // a kernel that produced different positions — or a different order —
   // cannot go unnoticed.
-  int num_kernels = 0;
-  const util::SimdKernel* kernels = util::AvailableSimdKernels(&num_kernels);
   std::uint64_t reference_checksum = 0;
   bool have_reference = false;
   double stage2_scalar_min_ms = 0.0;
@@ -303,10 +350,22 @@ int Run(int argc, char** argv) {
     PERIODICA_CHECK(lags.size() == max_lag + 1);
   }));
 
-  TextTable table({"Stage", "Kernel", "Min (ms)", "Mean (ms)", "Max (ms)"});
+  TextTable table({"Stage", "Kernel", "Min (ms)", "Mean (ms)", "Max (ms)",
+                   "Stage-1 paths"});
   for (const StageResult& result : results) {
+    std::string paths;
+    if (!result.paths.empty()) {
+      const auto words = static_cast<std::size_t>(
+          std::count(result.paths.begin(), result.paths.end(),
+                     internal::Stage1Path::kLagWords));
+      paths = std::to_string(words) + " lag_words, " +
+              std::to_string(result.paths.size() - words) + " fft (" +
+              std::to_string(max_lag + 1) + " lags, crossover " +
+              std::to_string(result.crossover_lags) + ")";
+    }
     table.AddRow({result.stage, result.kernel, FormatMs(result.MinMs()),
-                  FormatMs(result.MeanMs()), FormatMs(result.MaxMs())});
+                  FormatMs(result.MeanMs()), FormatMs(result.MaxMs()),
+                  paths});
   }
   table.Print(std::cout);
   std::cout << "\nstage-2 SIMD speedup over scalar (min/min): "
@@ -321,7 +380,7 @@ int Run(int argc, char** argv) {
     }
     out << "{\n"
         << "  \"bench\": \"stagebench\",\n"
-        << "  \"schema_version\": 1,\n"
+        << "  \"schema_version\": 2,\n"
         << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
         << "  \"n\": " << length << ",\n"
         << "  \"sigma\": " << sigma << ",\n"
@@ -332,6 +391,7 @@ int Run(int argc, char** argv) {
         << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
         << ",\n"
         << "  \"arch\": \"" << ArchName() << "\",\n"
+        << "  \"cpu_model\": \"" << CpuModel() << "\",\n"
         << "  \"simd_detected\": \""
         << util::SimdKernelName(util::BestSimdKernel()) << "\",\n"
         << "  \"cycle_counter\": \"" << util::CycleCounterName() << "\",\n"
@@ -350,7 +410,17 @@ int Run(int argc, char** argv) {
         out << FormatMs(result.samples_ms[s])
             << (s + 1 < result.samples_ms.size() ? ", " : "");
       }
-      out << "]}" << (i + 1 < results.size() ? "," : "") << "\n";
+      out << "]";
+      if (!result.paths.empty()) {
+        out << ", \"crossover_lags\": " << result.crossover_lags
+            << ", \"paths\": [";
+        for (std::size_t k = 0; k < result.paths.size(); ++k) {
+          out << "\"" << internal::Stage1PathName(result.paths[k]) << "\""
+              << (k + 1 < result.paths.size() ? ", " : "");
+        }
+        out << "]";
+      }
+      out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::cout << "wrote " << json << "\n";

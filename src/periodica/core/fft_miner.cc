@@ -8,7 +8,7 @@
 #include "periodica/core/detail.h"
 #include "periodica/core/memory_estimate.h"
 #include "periodica/fft/chunked.h"
-#include "periodica/fft/convolution.h"
+#include "periodica/util/cpu_features.h"
 #include "periodica/util/logging.h"
 #include "periodica/util/thread_pool.h"
 
@@ -143,19 +143,15 @@ std::vector<std::uint64_t> FftConvolutionMiner::MatchCountsBounded(
 }
 
 std::vector<std::uint64_t> FftConvolutionMiner::MatchCounts(
-    SymbolId symbol, std::size_t max_period) const {
+    SymbolId symbol, std::size_t max_period, internal::Stage1Path* path) const {
   PERIODICA_CHECK_LT(static_cast<std::size_t>(symbol), indicators_.size());
-  std::vector<double> as_double(n_, 0.0);
-  indicators_[symbol].ForEachSetBit(
-      [&as_double](std::size_t i) { as_double[i] = 1.0; });
-  const std::vector<double> raw = fft::Autocorrelation(as_double);
-  const std::size_t lags = std::min(max_period + 1, raw.size());
-  std::vector<std::uint64_t> counts(lags, 0);
-  for (std::size_t p = 0; p < lags; ++p) {
-    const long long rounded = std::llround(raw[p]);
-    counts[p] = rounded < 0 ? 0 : static_cast<std::uint64_t>(rounded);
-  }
-  return counts;
+  const std::size_t lags = n_ == 0 ? 0 : std::min(max_period, n_ - 1) + 1;
+  return internal::Stage1MatchCounts(
+      indicators_[symbol], lags,
+      internal::Stage1UsesLagWords(n_, lags, util::ActiveSimdKernel())
+          ? internal::Stage1Path::kLagWords
+          : internal::Stage1Path::kFft,
+      path);
 }
 
 PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
@@ -213,17 +209,15 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
   };
   std::vector<Candidate> candidates;
 
-  // Stage 1: per-symbol FFT autocorrelations — one independent transform per
-  // symbol, run across the pool — followed by the lossless aggregate
-  // pre-filter, applied sequentially in symbol order. Each task reserves
-  // its transform scratch first; a task that cannot reserve records the
-  // failure in its own slot (the first one, by symbol order, wins below —
-  // deterministic at every thread count) and computes nothing.
+  // Stage 1: per-symbol match counts — one independent autocorrelation per
+  // symbol (lag words or FFT, core/stage1.h), run across the pool — followed
+  // by the lossless aggregate pre-filter, applied sequentially in symbol
+  // order. Each task reserves its scratch first (none on the word path); a
+  // task that cannot reserve records the failure in its own slot (the first
+  // one, by symbol order, wins below — deterministic at every thread count)
+  // and computes nothing.
   const std::size_t stage1_scratch_bytes =
-      options.fft_block_size != 0
-          ? internal::ChunkedFftScratchBytes(max_period,
-                                             options.fft_block_size)
-          : internal::DirectFftScratchBytes(n_);
+      internal::Stage1ScratchBytes(n_, max_period, options.fft_block_size);
   std::vector<Status> task_errors(indicators_.size(), Status::OK());
   std::vector<std::vector<std::uint64_t>> match_counts(indicators_.size());
   PERIODICA_CHECK_OK(util::ParallelFor(
@@ -231,7 +225,7 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
         if (indicators_[k].Count() == 0) return;
         internal::ScopedMiningCharge scratch(&budget);
         if (Status status =
-                scratch.Acquire(stage1_scratch_bytes, "mine: stage-1 FFT");
+                scratch.Acquire(stage1_scratch_bytes, "mine: stage-1 scratch");
             !status.ok()) {
           task_errors[k] = std::move(status);
           return;
@@ -383,7 +377,7 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
             match_positions.clear();
             indicator.CollectAndShifted(indicator, p, &match_positions);
             PERIODICA_DCHECK(match_positions.size() == candidates[c].matches)
-                << "FFT match count disagrees with the indicator bitsets";
+                << "stage-1 match count disagrees with the indicator bitsets";
             // Counting buckets instead of sort + run-length: O(m + p) per
             // candidate rather than O(m log m), and scanning the buckets in
             // index order emits phases in the same ascending sequence the

@@ -6,6 +6,7 @@
 
 #include "periodica/core/options.h"
 #include "periodica/core/periodicity.h"
+#include "periodica/core/stage1.h"
 #include "periodica/series/series.h"
 #include "periodica/series/stream.h"
 #include "periodica/util/bitset.h"
@@ -19,7 +20,9 @@ namespace periodica {
 /// equal to the autocorrelation of s_k's 0/1 indicator vector at lag p. One
 /// real FFT per symbol therefore yields every shift's match count |W_{p,k}|
 /// at once — O(sigma * n log n), after a single pass over the input that
-/// builds the indicator vectors.
+/// builds the indicator vectors. When max_period is far below n, the same
+/// counts come cheaper from the convolution's exact bitset form, one
+/// shifted AND-popcount per lag (core/stage1.h picks the path per call).
 ///
 /// Detection then proceeds in two stages:
 ///  1. A *lossless* aggregate pre-filter: (p, k) can satisfy Definition 1 at
@@ -75,10 +78,14 @@ class FftConvolutionMiner {
   /// representation); used to run the pattern stage after stream ingestion.
   [[nodiscard]] SymbolSeries ToSeries() const;
 
-  /// Match counts |W_{p,k}| for symbol k at every lag p in [0, max_period],
-  /// straight from the FFT (exposed for the ablation benches and tests).
+  /// Match counts |W_{p,k}| for symbol k at every lag p in [0, max_period]
+  /// (exposed for the ablation benches and tests). Computed on the word path
+  /// or the certified FFT path, whichever internal::Stage1UsesLagWords
+  /// predicts cheaper for the active SIMD kernel; both give the same exact
+  /// integers. `path`, when not null, receives the path that produced them.
   [[nodiscard]] std::vector<std::uint64_t> MatchCounts(
-      SymbolId symbol, std::size_t max_period) const;
+      SymbolId symbol, std::size_t max_period,
+      internal::Stage1Path* path = nullptr) const;
 
   /// Identical counts computed with the bounded-lag chunked correlator:
   /// O(block_size + max_period) FFT working memory instead of a full-length

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "periodica/core/periodicity.h"
+#include "periodica/core/stage1.h"
+#include "periodica/util/cpu_features.h"
 #include "periodica/util/memory_budget.h"
 #include "periodica/util/thread_pool.h"
 
@@ -15,10 +17,6 @@ std::size_t NextPowerOfTwoBytes(std::size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
-
-}  // namespace
-
-namespace internal {
 
 std::size_t DirectFftScratchBytes(std::size_t n) {
   // Autocorrelation(): the input copy (n doubles), the zero-padded real
@@ -40,6 +38,19 @@ std::size_t ChunkedFftScratchBytes(std::size_t max_period,
   const std::size_t span = block + max_period;
   const std::size_t padded = NextPowerOfTwoBytes(2 * std::max<std::size_t>(span, 1));
   return 8 * (2 * max_period + 2 * block) + 3 * 8 * padded;
+}
+
+}  // namespace
+
+namespace internal {
+
+std::size_t Stage1ScratchBytes(std::size_t n, std::size_t max_period,
+                               std::size_t block_size) {
+  if (block_size != 0) return ChunkedFftScratchBytes(max_period, block_size);
+  if (Stage1UsesLagWords(n, max_period + 1, util::ActiveSimdKernel())) {
+    return 0;
+  }
+  return DirectFftScratchBytes(n);
 }
 
 std::size_t PhaseSplitScratchBytes(std::size_t n) {
@@ -113,10 +124,8 @@ MineMemoryEstimate EstimateMineMemory(std::size_t n, std::size_t sigma,
     estimate.chunked = options.fft_block_size != 0;
     estimate.counts_bytes = sigma * (max_period + 1) * 8;
     const std::size_t per_task =
-        estimate.chunked
-            ? internal::ChunkedFftScratchBytes(max_period,
-                                               options.fft_block_size)
-            : internal::DirectFftScratchBytes(n);
+        internal::Stage1ScratchBytes(n, max_period, options.fft_block_size);
+    estimate.lag_words = !estimate.chunked && per_task == 0;
     estimate.stage1_scratch_bytes = per_task * workers;
     if (options.positions) {
       estimate.stage2_scratch_bytes =
@@ -141,8 +150,8 @@ std::string MineMemoryEstimate::ToString() const {
     out += ", counts " + util::FormatBytes(counts_bytes);
   }
   out += ", fft " + util::FormatBytes(stage1_scratch_bytes) +
-         (chunked ? " chunked" : " direct") + " x" + std::to_string(workers) +
-         " workers";
+         (chunked ? " chunked" : lag_words ? " lag-words" : " direct") +
+         " x" + std::to_string(workers) + " workers";
   if (stage2_scratch_bytes != 0) {
     out += ", phase-split " + util::FormatBytes(stage2_scratch_bytes);
   }

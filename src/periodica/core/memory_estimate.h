@@ -18,9 +18,10 @@ namespace periodica {
 ///
 /// The numbers are upper bounds on the dominant allocations (indicator
 /// bitsets, FFT scratch, phase-split buffers, stored entries), path-aware:
-/// the chunked correlator (MinerOptions::fft_block_size) replaces the O(n)
-/// direct-FFT scratch with O(block + max_period), and periods-only mode
-/// drops the stage-2 terms entirely. Control-block overhead is not modeled;
+/// the stage-1 word path (core/stage1.h) needs no FFT scratch, the chunked
+/// correlator (MinerOptions::fft_block_size) replaces the O(n) direct-FFT
+/// scratch with O(block + max_period), and periods-only mode drops the
+/// stage-2 terms entirely. Control-block overhead is not modeled;
 /// docs/SERVING.md derives the capacity-planning formula from these terms.
 struct MineMemoryEstimate {
   /// Per-symbol indicator bitsets: sigma * ceil(n/64) words. Live for the
@@ -29,7 +30,8 @@ struct MineMemoryEstimate {
   /// Aggregate match-count vectors, sigma * (max_period + 1) u64s. Live
   /// from stage 1 until the call returns.
   std::size_t counts_bytes = 0;
-  /// Stage-1 FFT scratch: per-worker transform buffers, direct or chunked.
+  /// Stage-1 FFT scratch: per-worker transform buffers, direct or chunked
+  /// (zero on the word path).
   std::size_t stage1_scratch_bytes = 0;
   /// Stage-2 phase-split scratch (positions mode only): per-worker match
   /// position/phase vectors plus the bounded window's per-phase counts.
@@ -39,6 +41,9 @@ struct MineMemoryEstimate {
   std::size_t entry_bytes = 0;
   /// True when the chunked (bounded-lag) stage-1 path was assumed.
   bool chunked = false;
+  /// True when the stage-1 word path (shifted AND-popcount per lag) was
+  /// assumed.
+  bool lag_words = false;
   /// Concurrent workers the scratch terms were multiplied by.
   std::size_t workers = 1;
 
@@ -69,13 +74,16 @@ struct MineMemoryEstimate {
 
 namespace internal {
 
-/// Per-task scratch of one direct (full-length) stage-1 autocorrelation FFT.
 /// These per-stage terms are shared with the engines' mid-flight budget
 /// charges, so what the estimate predicts is exactly what Mine reserves.
-[[nodiscard]] std::size_t DirectFftScratchBytes(std::size_t n);
-/// Per-task scratch of one bounded-lag (chunked) stage-1 correlator.
-[[nodiscard]] std::size_t ChunkedFftScratchBytes(std::size_t max_period,
-                                                 std::size_t block_size);
+///
+/// Per-task stage-1 scratch of the FFT engine for lags 0..max_period
+/// (max_period < n): the chunked correlator's when block_size != 0, else
+/// none when Stage1UsesLagWords picks the word path for the active SIMD
+/// kernel, else the direct FFT's.
+[[nodiscard]] std::size_t Stage1ScratchBytes(std::size_t n,
+                                             std::size_t max_period,
+                                             std::size_t block_size);
 /// Per-group scratch of one stage-2 phase split.
 [[nodiscard]] std::size_t PhaseSplitScratchBytes(std::size_t n);
 

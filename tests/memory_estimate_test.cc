@@ -62,14 +62,31 @@ TEST(MemoryEstimateTest, WorkersNeverExceedAlphabet) {
 TEST(MemoryEstimateTest, ChunkedPathShrinksStage1Scratch) {
   MinerOptions options;
   options.engine = MinerEngine::kFft;
-  options.max_period = 128;
+  // Above the stage-1 crossover for every kernel at n = 2^20, so the
+  // unchunked mine runs the O(n) direct FFT rather than the word path.
+  options.max_period = 1u << 14;
   const MineMemoryEstimate direct = EstimateMineMemory(1u << 20, 4, options);
+  ASSERT_FALSE(direct.lag_words);
   options.fft_block_size = 8192;
   const MineMemoryEstimate chunked = EstimateMineMemory(1u << 20, 4, options);
   EXPECT_FALSE(direct.chunked);
   EXPECT_TRUE(chunked.chunked);
   EXPECT_LT(chunked.stage1_scratch_bytes, direct.stage1_scratch_bytes)
       << "bounded-lag scratch is O(block + max_period), not O(n)";
+}
+
+TEST(MemoryEstimateTest, WordPathChargesNoStage1Scratch) {
+  // max_period 128 of n = 2^20 is far below the crossover: stage 1 runs
+  // shifted AND-popcounts over the indicators and allocates no transform.
+  MinerOptions options;
+  options.engine = MinerEngine::kFft;
+  options.max_period = 128;
+  options.num_threads = 4;
+  const MineMemoryEstimate estimate = EstimateMineMemory(1u << 20, 4, options);
+  EXPECT_TRUE(estimate.lag_words);
+  EXPECT_FALSE(estimate.chunked);
+  EXPECT_EQ(estimate.stage1_scratch_bytes, 0u);
+  EXPECT_NE(estimate.ToString().find("lag-words"), std::string::npos);
 }
 
 TEST(MemoryEstimateTest, PeriodsOnlyDropsStage2Terms) {
@@ -135,6 +152,25 @@ TEST(MinerBudgetTest, GenerousBudgetDoesNotChangeResults) {
       << "budget accounting must not perturb detection";
   EXPECT_EQ(pool.used(), 0u) << "every charge must be released";
   EXPECT_GT(pool.high_water(), 0u) << "the mine did charge the pool";
+}
+
+TEST(MinerBudgetTest, WordPathFitsBelowTheDirectFftScratch) {
+  // A budget too small for one 2n-double transform buffer still admits a
+  // small-max_period mine: the word path never allocates that buffer.
+  const SymbolSeries series = PeriodicSeries(1u << 16, 7);
+  MinerOptions options;
+  options.engine = MinerEngine::kFft;
+  options.max_period = 64;
+  options.positions = false;
+  const MineMemoryEstimate estimate =
+      EstimateMineMemory(series.size(), 4, options);
+  ASSERT_TRUE(estimate.lag_words);
+  options.memory_budget_bytes = estimate.total_bytes();
+  ASSERT_LT(options.memory_budget_bytes, 8 * series.size())
+      << "the budget must not fit the FFT's input copy alone";
+  const Result<MiningResult> result = ObscureMiner(options).Mine(series);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result.value().periodicities.summaries().empty());
 }
 
 TEST(MinerBudgetTest, SharedPoolExhaustionFailsMidFlight) {

@@ -60,14 +60,14 @@ NUMBER = (int, float)
 
 def lint_stagebench(doc, where):
     """BENCH_stages.json schema; documented in bench/README.md."""
-    if _require(doc, "schema_version", int, where) != 1:
+    if _require(doc, "schema_version", int, where) != 2:
         raise SchemaError(f"{where}: unknown schema_version")
     _require(doc, "quick", bool, where)
     for key in ("n", "sigma", "period", "max_period", "repeats",
                 "hardware_threads"):
         _require(doc, key, int, where)
     _require(doc, "threshold", NUMBER, where)
-    for key in ("arch", "simd_detected", "cycle_counter"):
+    for key in ("arch", "cpu_model", "simd_detected", "cycle_counter"):
         _require(doc, key, str, where)
     _require(doc, "stage2_simd_speedup", NUMBER, where)
     stages = _require(doc, "stages", list, where)
@@ -92,6 +92,21 @@ def lint_stagebench(doc, where):
         for sample in samples:
             if not isinstance(sample, NUMBER):
                 raise SchemaError(f"{swhere}: non-numeric sample")
+        if stage["stage"] == "stage1_match_counts":
+            lint_stage1_paths(stage, doc["sigma"], swhere)
+
+
+def lint_stage1_paths(stage, sigma, where):
+    """Stage-1 rows name the path each symbol took under their kernel."""
+    _require(stage, "crossover_lags", int, where)
+    paths = _require(stage, "paths", list, where)
+    if len(paths) != sigma:
+        raise SchemaError(
+            f"{where}: {len(paths)} paths but sigma = {sigma}"
+        )
+    for path in paths:
+        if path not in ("lag_words", "fft"):
+            raise SchemaError(f"{where}: unknown stage-1 path {path!r}")
 
 
 def lint_micro_parallel(doc, where):
