@@ -1,7 +1,9 @@
 // Per-stage performance harness for the mining pipeline: times the hot
 // stages separately — indicator construction, stage-1 per-symbol match
 // counts and stage-2 DynamicBitset phase refinement (each once per
-// available SIMD kernel), and the chunked bounded-lag correlator — and,
+// available SIMD kernel, through the same stage functions Mine() composes:
+// MatchCounts, internal::PrefilterCandidates and PhaseCounts), and the
+// streaming detector's chunked bounded-lag correlator — and,
 // with --json, writes the record behind BENCH_stages.json, the baseline
 // tools/perf_gate.py gates CI against.
 //
@@ -29,6 +31,7 @@
 #include <iostream>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,7 +42,6 @@
 #include "periodica/core/stage1.h"
 #include "periodica/fft/chunked.h"
 #include "periodica/gen/synthetic.h"
-#include "periodica/util/bitset.h"
 #include "periodica/util/cpu_features.h"
 #include "periodica/util/stopwatch.h"
 #include "periodica/util/table.h"
@@ -126,12 +128,6 @@ StageResult TimeStage(const std::string& stage, const std::string& kernel,
   }
   return result;
 }
-
-struct Candidate {
-  std::size_t period;
-  SymbolId symbol;
-  std::uint64_t matches;
-};
 
 int Run(int argc, char** argv) {
   std::int64_t n = std::int64_t{1} << 18;
@@ -237,42 +233,20 @@ int Run(int argc, char** argv) {
     results.push_back(std::move(timed));
   }
 
-  // Candidate derivation: exactly the Mine() lossless aggregate pre-filter
-  // (counts[p] != 0, enough repetitions for min_pairs = 1, and the
-  // threshold * MinPairCount cut), so stage 2 below refines the same
+  // Candidate derivation: Mine()'s own pre-filter at --threshold (default
+  // min_period and min_pairs), so stage 2 below refines the same
   // (period, symbol) set a real --threshold mine would.
-  std::vector<Candidate> candidates;
-  for (std::size_t k = 0; k < match_counts.size(); ++k) {
-    const std::vector<std::uint64_t>& counts = match_counts[k];
-    for (std::size_t p = 1; p < counts.size(); ++p) {
-      if (counts[p] == 0) continue;
-      if ((length + p - 1) / p - 1 < 1) continue;
-      const double min_pairs =
-          static_cast<double>(internal::MinPairCount(length, p));
-      if (static_cast<double>(counts[p]) + 1e-9 < threshold * min_pairs) {
-        continue;
-      }
-      candidates.push_back(Candidate{p, static_cast<SymbolId>(k), counts[p]});
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return std::tie(a.period, a.symbol) <
-                     std::tie(b.period, b.symbol);
-            });
-
-  // Per-symbol indicator bitsets for the refinement loop (same content the
-  // miner holds internally).
-  std::vector<DynamicBitset> indicators(
-      static_cast<std::size_t>(sigma), DynamicBitset(length));
-  for (std::size_t i = 0; i < length; ++i) {
-    indicators[series[i]].Set(i);
-  }
+  MinerOptions options;
+  options.threshold = threshold;
+  const std::vector<internal::Candidate> candidates =
+      internal::PrefilterCandidates(match_counts, length, options);
+  const std::vector<std::span<const internal::Candidate>> groups =
+      internal::PeriodGroups(candidates);
 
   // --- Stage 2: phase refinement, once per available SIMD kernel. --------
-  // The work per candidate mirrors Mine()'s stage 2: collect the matching
-  // positions with CollectAndShifted, then split them into per-phase counts
-  // with counting buckets. The checksum folds every (phase, count) pair, so
+  // Mine()'s stage 2 per period group: FftConvolutionMiner::PhaseCounts
+  // collects the matching positions with CollectAndShifted and splits them
+  // into per-phase counts. The checksum folds every (phase, count) pair, so
   // a kernel that produced different positions — or a different order —
   // cannot go unnoticed.
   std::uint64_t reference_checksum = 0;
@@ -283,31 +257,17 @@ int Run(int argc, char** argv) {
     const util::SimdKernel kernel = kernels[ki];
     const util::ScopedSimdKernelOverride forced(kernel);
     std::uint64_t checksum = 0;
-    std::vector<std::size_t> positions;
-    std::vector<std::uint64_t> phase_counts;
+    std::vector<internal::PhaseCount> phase_counts;
     StageResult timed = TimeStage(
         "stage2_phase_refine", util::SimdKernelName(kernel), repeats, [&] {
           checksum = 0;
-          for (const Candidate& candidate : candidates) {
-            const std::size_t p = candidate.period;
-            const DynamicBitset& indicator = indicators[candidate.symbol];
-            positions.clear();
-            indicator.CollectAndShifted(indicator, p, &positions);
-            // Incremental phase tracking, mirroring Mine()'s stage 2
-            // (positions are ascending, so no per-position modulo).
-            phase_counts.assign(p, 0);
-            std::size_t base = 0;
-            for (const std::size_t i : positions) {
-              if (i - base >= p) {
-                base = i - base >= 2 * p ? i - (i % p) : base + p;
-              }
-              ++phase_counts[i - base];
-            }
-            for (std::size_t phase = 0; phase < p; ++phase) {
-              if (phase_counts[phase] == 0) continue;
+          for (const std::span<const internal::Candidate> group : groups) {
+            phase_counts.clear();
+            miner.PhaseCounts(group.front().period, group, &phase_counts);
+            for (const internal::PhaseCount& count : phase_counts) {
               checksum = checksum * 1000003u +
-                         static_cast<std::uint64_t>(phase + 1) * 31u +
-                         phase_counts[phase];
+                         static_cast<std::uint64_t>(count.phase + 1) * 31u +
+                         count.f2;
             }
           }
         });
@@ -341,7 +301,7 @@ int Run(int argc, char** argv) {
       const std::size_t end = std::min(length, start + chunk);
       buffer.assign(end - start, 0.0);
       for (std::size_t i = start; i < end; ++i) {
-        if (indicators[0].Test(i)) buffer[i - start] = 1.0;
+        if (series[i] == 0) buffer[i - start] = 1.0;
       }
       correlator.Append(buffer);
       start = end;

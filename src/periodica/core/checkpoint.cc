@@ -293,20 +293,14 @@ namespace internal {
 /// details.
 class CheckpointAccess {
  public:
-  static Status EncodeCorrelator(const fft::BoundedLagAutocorrelator& c,
-                                 Encoder* enc) {
-    if (!c.ready_.empty()) {
-      return Status::Internal(
-          "cannot checkpoint a correlator with blocks staged for a thread "
-          "pool; unset the pool first");
-    }
+  static void EncodeCorrelator(const fft::BoundedLagAutocorrelator& c,
+                               Encoder* enc) {
     enc->PutU64(c.max_lag_);
     enc->PutU64(c.block_size_);
     enc->PutU64(c.n_);
     EncodeVector(c.accumulated_, enc);
     EncodeVector(c.tail_, enc);
     EncodeVector(c.pending_, enc);
-    return Status::OK();
   }
 
   static Status DecodeCorrelatorInto(Decoder* dec,
@@ -349,7 +343,7 @@ class CheckpointAccess {
     enc.PutU64(detector.n_);
     enc.PutU64(detector.correlators_.size());
     for (const fft::BoundedLagAutocorrelator& c : detector.correlators_) {
-      PERIODICA_RETURN_NOT_OK(EncodeCorrelator(c, &enc));
+      EncodeCorrelator(c, &enc);
     }
     return enc.buffer();
   }

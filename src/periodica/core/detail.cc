@@ -1,5 +1,8 @@
 #include "periodica/core/detail.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include "periodica/series/series.h"
 #include "periodica/util/logging.h"
 
@@ -44,6 +47,49 @@ void EmitPeriod(std::size_t n, std::size_t period,
     table->AddSummary(summary);
   }
   table->set_truncated(truncated);
+}
+
+std::vector<Candidate> PrefilterCandidates(
+    std::span<const std::vector<std::uint64_t>> match_counts, std::size_t n,
+    const MinerOptions& options) {
+  const std::size_t min_period = std::max<std::size_t>(options.min_period, 1);
+  std::vector<Candidate> candidates;
+  for (std::size_t k = 0; k < match_counts.size(); ++k) {
+    const std::vector<std::uint64_t>& counts = match_counts[k];
+    for (std::size_t p = min_period; p < counts.size(); ++p) {
+      if (counts[p] == 0) continue;
+      // No phase of this period can offer options.min_pairs repetitions if
+      // even the longest projection (l = 0) falls short.
+      if ((n + p - 1) / p - 1 < options.min_pairs) continue;
+      const double min_pairs = static_cast<double>(MinPairCount(n, p));
+      if (static_cast<double>(counts[p]) + 1e-9 <
+          options.threshold * min_pairs) {
+        continue;
+      }
+      candidates.push_back(Candidate{p, static_cast<SymbolId>(k), counts[p]});
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return std::tie(a.period, a.symbol) <
+                     std::tie(b.period, b.symbol);
+            });
+  return candidates;
+}
+
+std::vector<std::span<const Candidate>> PeriodGroups(
+    std::span<const Candidate> candidates) {
+  std::vector<std::span<const Candidate>> groups;
+  for (std::size_t start = 0; start < candidates.size();) {
+    std::size_t end = start;
+    while (end < candidates.size() &&
+           candidates[end].period == candidates[start].period) {
+      ++end;
+    }
+    groups.push_back(candidates.subspan(start, end - start));
+    start = end;
+  }
+  return groups;
 }
 
 std::uint64_t MinPairCount(std::size_t n, std::size_t period) {

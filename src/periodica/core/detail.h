@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "periodica/core/options.h"
 #include "periodica/core/periodicity.h"
@@ -104,6 +105,29 @@ class ScopedMiningCharge {
   MiningBudget* budget_;
   std::size_t bytes_ = 0;
 };
+
+/// A (period, symbol) pair that survived the FFT engine's pre-filter, with
+/// its stage-1 match count |W_{p,k}|.
+struct Candidate {
+  std::size_t period = 0;
+  SymbolId symbol = 0;
+  std::uint64_t matches = 0;
+};
+
+/// The FFT engine's lossless aggregate pre-filter, the cut between its two
+/// stages: every (p, k) with min_period <= p, a nonzero match count, enough
+/// repetitions at phase 0 for options.min_pairs, and
+/// match_counts[k][p] >= options.threshold * MinPairCount(n, p). An empty
+/// match_counts[k] (an absent symbol) contributes nothing. Sorted by
+/// (period, symbol).
+[[nodiscard]] std::vector<Candidate> PrefilterCandidates(
+    std::span<const std::vector<std::uint64_t>> match_counts, std::size_t n,
+    const MinerOptions& options);
+
+/// Splits `candidates`, sorted by period, into the maximal runs sharing one
+/// period (the unit stage 2 refines and Definition 1 emits), in order.
+[[nodiscard]] std::vector<std::span<const Candidate>> PeriodGroups(
+    std::span<const Candidate> candidates);
 
 /// Exact F2 count for one (symbol, phase) pair of one period, as produced by
 /// either engine's analysis step.

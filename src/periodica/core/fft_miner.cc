@@ -1,13 +1,10 @@
 #include "periodica/core/fft_miner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <span>
 
-#include "periodica/core/detail.h"
 #include "periodica/core/memory_estimate.h"
-#include "periodica/fft/chunked.h"
 #include "periodica/util/cpu_features.h"
 #include "periodica/util/logging.h"
 #include "periodica/util/thread_pool.h"
@@ -114,34 +111,6 @@ SymbolSeries FftConvolutionMiner::ToSeries() const {
   return series;
 }
 
-std::vector<std::uint64_t> FftConvolutionMiner::MatchCountsBounded(
-    SymbolId symbol, std::size_t max_period, std::size_t block_size) const {
-  PERIODICA_CHECK_LT(static_cast<std::size_t>(symbol), indicators_.size());
-  const std::size_t max_lag = std::min(max_period, n_ > 0 ? n_ - 1 : 0);
-  fft::BoundedLagAutocorrelator correlator(max_lag, block_size);
-  std::vector<double> buffer;
-  const std::size_t chunk = std::min<std::size_t>(
-      std::max<std::size_t>(correlator.block_size(), 4096), n_ ? n_ : 1);
-  buffer.reserve(chunk);
-  for (std::size_t start = 0; start < n_;) {
-    const std::size_t end = std::min(n_, start + chunk);
-    buffer.assign(end - start, 0.0);
-    for (std::size_t i = start; i < end; ++i) {
-      if (indicators_[symbol].Test(i)) buffer[i - start] = 1.0;
-    }
-    correlator.Append(buffer);
-    start = end;
-  }
-  const std::vector<double> raw = correlator.Lags();
-  std::vector<std::uint64_t> counts(
-      std::min(max_period + 1, raw.empty() ? std::size_t{0} : raw.size()), 0);
-  for (std::size_t p = 0; p < counts.size(); ++p) {
-    const long long rounded = std::llround(raw[p]);
-    counts[p] = rounded < 0 ? 0 : static_cast<std::uint64_t>(rounded);
-  }
-  return counts;
-}
-
 std::vector<std::uint64_t> FftConvolutionMiner::MatchCounts(
     SymbolId symbol, std::size_t max_period, internal::Stage1Path* path) const {
   PERIODICA_CHECK_LT(static_cast<std::size_t>(symbol), indicators_.size());
@@ -154,6 +123,42 @@ std::vector<std::uint64_t> FftConvolutionMiner::MatchCounts(
       path);
 }
 
+void FftConvolutionMiner::PhaseCounts(
+    std::size_t period, std::span<const internal::Candidate> group,
+    std::vector<internal::PhaseCount>* out) const {
+  PERIODICA_CHECK_GE(period, 1u);
+  std::vector<std::size_t> match_positions;
+  std::vector<std::uint64_t> phase_counts(period, 0);
+  for (const internal::Candidate& candidate : group) {
+    PERIODICA_DCHECK(candidate.period == period);
+    const SymbolId k = candidate.symbol;
+    PERIODICA_CHECK_LT(static_cast<std::size_t>(k), indicators_.size());
+    const DynamicBitset& indicator = indicators_[k];
+    match_positions.clear();
+    indicator.CollectAndShifted(indicator, period, &match_positions);
+    PERIODICA_DCHECK(match_positions.size() == candidate.matches)
+        << "stage-1 match count disagrees with the indicator bitsets";
+    // Counting buckets instead of sort + run-length: O(m + p) per
+    // candidate rather than O(m log m), and scanning the buckets in index
+    // order emits phases in ascending sequence. Positions arrive in
+    // increasing order, so the phase is tracked against a running multiple
+    // of p instead of a per-position 64-bit modulo (which would otherwise
+    // dominate the split).
+    std::fill(phase_counts.begin(), phase_counts.end(), 0);
+    std::size_t base = 0;  // largest multiple of p <= position
+    for (const std::size_t i : match_positions) {
+      if (i - base >= period) {
+        base = i - base >= 2 * period ? i - (i % period) : base + period;
+      }
+      ++phase_counts[i - base];
+    }
+    for (std::size_t phase = 0; phase < period; ++phase) {
+      if (phase_counts[phase] == 0) continue;
+      out->push_back(internal::PhaseCount{k, phase, phase_counts[phase]});
+    }
+  }
+}
+
 PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
   PeriodicityTable table;
   if (n_ < 2) return table;
@@ -161,7 +166,6 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
   std::size_t max_period =
       options.max_period == 0 ? n_ / 2 : options.max_period;
   max_period = std::min(max_period, n_ - 1);
-  const std::size_t min_period = std::max<std::size_t>(options.min_period, 1);
 
   // Cancellation/deadline polls sit at stage boundaries, where stopping
   // leaves the table a correct prefix (periods emitted so far are exact).
@@ -202,13 +206,6 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
   if (num_workers > 1) pool.emplace(num_workers);
   util::ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
 
-  struct Candidate {
-    std::size_t period;
-    SymbolId symbol;
-    std::uint64_t matches;
-  };
-  std::vector<Candidate> candidates;
-
   // Stage 1: per-symbol match counts — one independent autocorrelation per
   // symbol (lag words or FFT, core/stage1.h), run across the pool — followed
   // by the lossless aggregate pre-filter, applied sequentially in symbol
@@ -217,7 +214,7 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
   // one, by symbol order, wins below — deterministic at every thread count)
   // and computes nothing.
   const std::size_t stage1_scratch_bytes =
-      internal::Stage1ScratchBytes(n_, max_period, options.fft_block_size);
+      internal::Stage1ScratchBytes(n_, max_period);
   std::vector<Status> task_errors(indicators_.size(), Status::OK());
   std::vector<std::vector<std::uint64_t>> match_counts(indicators_.size());
   PERIODICA_CHECK_OK(util::ParallelFor(
@@ -230,11 +227,7 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
           task_errors[k] = std::move(status);
           return;
         }
-        match_counts[k] =
-            options.fft_block_size != 0
-                ? MatchCountsBounded(static_cast<SymbolId>(k), max_period,
-                                     options.fft_block_size)
-                : MatchCounts(static_cast<SymbolId>(k), max_period);
+        match_counts[k] = MatchCounts(static_cast<SymbolId>(k), max_period);
       }));
   for (Status& status : task_errors) {
     if (!status.ok()) {
@@ -242,57 +235,35 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
       return table;
     }
   }
-  for (std::size_t k = 0; k < match_counts.size(); ++k) {
-    const std::vector<std::uint64_t>& counts = match_counts[k];
-    for (std::size_t p = min_period; p < counts.size(); ++p) {
-      if (counts[p] == 0) continue;
-      // No phase of this period can offer options.min_pairs repetitions if
-      // even the longest projection (l = 0) falls short.
-      if ((n_ + p - 1) / p - 1 < options.min_pairs) continue;
-      const double min_pairs =
-          static_cast<double>(internal::MinPairCount(n_, p));
-      if (static_cast<double>(counts[p]) + 1e-9 <
-          options.threshold * min_pairs) {
-        continue;
-      }
-      candidates.push_back(
-          Candidate{p, static_cast<SymbolId>(k), counts[p]});
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return std::tie(a.period, a.symbol) <
-                     std::tie(b.period, b.symbol);
-            });
+  const std::vector<internal::Candidate> candidates =
+      internal::PrefilterCandidates(match_counts, n_, options);
+  const std::vector<std::span<const internal::Candidate>> period_groups =
+      internal::PeriodGroups(candidates);
 
   if (!options.positions) {
     // Periods-only mode: summaries with aggregate upper-bound confidences,
     // O(n log n) total (the detection phase of Fig. 5).
-    for (std::size_t start = 0; start < candidates.size();) {
+    for (const std::span<const internal::Candidate> group : period_groups) {
       if (stop.Expired()) {
         table.set_partial(true);
         break;
       }
-      std::size_t end = start;
       PeriodSummary summary;
-      summary.period = candidates[start].period;
+      summary.period = group.front().period;
       summary.aggregate_only = true;
       const double min_pairs = static_cast<double>(
           internal::MinPairCount(n_, summary.period));
-      while (end < candidates.size() &&
-             candidates[end].period == summary.period) {
+      for (const internal::Candidate& candidate : group) {
         const double upper_bound = std::min(
-            1.0, static_cast<double>(candidates[end].matches) / min_pairs);
+            1.0, static_cast<double>(candidate.matches) / min_pairs);
         if (upper_bound > summary.best_confidence) {
           summary.best_confidence = upper_bound;
-          summary.best_symbol = candidates[end].symbol;
+          summary.best_symbol = candidate.symbol;
           summary.best_position = 0;
         }
         ++summary.num_periodicities;
-        ++end;
       }
       table.AddSummary(summary);
-      start = end;
     }
     table.SortCanonical();
     return table;
@@ -300,41 +271,26 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
 
   // Stage 2: split each surviving (p, k) into exact per-phase counts by
   // walking the in-memory indicator bitsets (no further pass over the input).
-  // Each period's candidate group is an independent task — the indicator
-  // bitsets are only read — whose W_{p,k,l} counts land in a per-period slot;
-  // Definition 1 (EmitPeriod) then runs over the slots in ascending period
-  // order on this thread, which keeps the max_entries truncation point and
-  // the table layout identical to the sequential walk.
+  // Each period's candidate group is an independent PhaseCounts task — the
+  // indicator bitsets are only read — whose W_{p,k,l} counts land in a
+  // per-period slot; Definition 1 (EmitPeriod) then runs over the slots in
+  // ascending period order on this thread, which keeps the max_entries
+  // truncation point and the table layout identical to the sequential walk.
   struct PeriodGroup {
-    std::size_t begin = 0;  ///< first index into `candidates`
-    std::size_t end = 0;    ///< one past the last index
     std::vector<internal::PhaseCount> counts;
     /// Budget bytes reserved by this group's phase-split task; released
     /// after the group is drained (the counts live until EmitPeriod).
     std::size_t charged_bytes = 0;
     Status charge_error = Status::OK();
   };
-  std::vector<PeriodGroup> groups;
-  for (std::size_t start = 0; start < candidates.size();) {
-    std::size_t end = start;
-    while (end < candidates.size() &&
-           candidates[end].period == candidates[start].period) {
-      ++end;
-    }
-    PeriodGroup group;
-    group.begin = start;
-    group.end = end;
-    groups.push_back(std::move(group));
-    start = end;
-  }
+  std::vector<PeriodGroup> groups(period_groups.size());
   // Period groups are consumed through a bounded window: phase-splitting for
   // one window runs across the pool, then Definition 1 drains the window in
   // ascending period order and releases its counts. Peak memory is
   // O(window * matches-per-period) rather than every period's phase counts
   // at once, and the emission order — hence the table and the max_entries
   // truncation point — does not depend on the window size.
-  const std::size_t window =
-      pool_ptr == nullptr ? 1 : pool_ptr->num_workers() * 4;
+  const std::size_t window = internal::Stage2WindowGroups(num_workers);
   std::size_t entry_charge_bytes = 0;  ///< cumulative stored-entry charge
   bool budget_aborted = false;
   for (std::size_t first = 0; first < groups.size(); first += window) {
@@ -346,18 +302,19 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
     PERIODICA_CHECK_OK(util::ParallelFor(
         pool_ptr, last - first, [&](std::size_t offset) {
           PeriodGroup& group = groups[first + offset];
-          const std::size_t p = candidates[group.begin].period;
+          const std::span<const internal::Candidate> members =
+              period_groups[first + offset];
+          const std::size_t p = members.front().period;
           // The FFT already told us how many positions will match, so the
           // split's scratch (8 bytes per collected position plus one 8-byte
           // bucket per phase) and its per-phase counts (24 bytes each) are
           // charged exactly, before anything is allocated.
           std::uint64_t total_matches = 0;
-          for (std::size_t c = group.begin; c < group.end; ++c) {
-            total_matches += candidates[c].matches;
+          for (const internal::Candidate& candidate : members) {
+            total_matches += candidate.matches;
           }
           const std::uint64_t phase_bound = std::min<std::uint64_t>(
-              total_matches,
-              static_cast<std::uint64_t>(p) * (group.end - group.begin));
+              total_matches, static_cast<std::uint64_t>(p) * members.size());
           const std::size_t scratch_bytes = static_cast<std::size_t>(
               8 * total_matches + 8 * static_cast<std::uint64_t>(p) +
               24 * phase_bound);
@@ -369,36 +326,7 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
             return;
           }
           group.charged_bytes = scratch_bytes;
-          std::vector<std::size_t> match_positions;
-          std::vector<std::uint64_t> phase_counts(p, 0);
-          for (std::size_t c = group.begin; c < group.end; ++c) {
-            const SymbolId k = candidates[c].symbol;
-            const DynamicBitset& indicator = indicators_[k];
-            match_positions.clear();
-            indicator.CollectAndShifted(indicator, p, &match_positions);
-            PERIODICA_DCHECK(match_positions.size() == candidates[c].matches)
-                << "stage-1 match count disagrees with the indicator bitsets";
-            // Counting buckets instead of sort + run-length: O(m + p) per
-            // candidate rather than O(m log m), and scanning the buckets in
-            // index order emits phases in the same ascending sequence the
-            // sorted walk produced — the table is unchanged. Positions
-            // arrive in increasing order, so the phase is tracked against a
-            // running multiple of p instead of a per-position 64-bit
-            // modulo (which would otherwise dominate the split).
-            std::fill(phase_counts.begin(), phase_counts.end(), 0);
-            std::size_t base = 0;  // largest multiple of p <= position
-            for (const std::size_t i : match_positions) {
-              if (i - base >= p) {
-                base = i - base >= 2 * p ? i - (i % p) : base + p;
-              }
-              ++phase_counts[i - base];
-            }
-            for (std::size_t phase = 0; phase < p; ++phase) {
-              if (phase_counts[phase] == 0) continue;
-              group.counts.push_back(
-                  internal::PhaseCount{k, phase, phase_counts[phase]});
-            }
-          }
+          PhaseCounts(p, members, &group.counts);
         }));
     for (std::size_t g = first; g < last; ++g) {
       PeriodGroup& group = groups[g];
@@ -408,8 +336,8 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
       }
       if (!budget_aborted) {
         const std::size_t entries_before = table.entries().size();
-        internal::EmitPeriod(n_, candidates[group.begin].period, group.counts,
-                             options, &table);
+        internal::EmitPeriod(n_, period_groups[g].front().period,
+                             group.counts, options, &table);
         // Stored entries outlive every stage; their bytes stay reserved
         // until the call returns (the charge trails each period's emission
         // by one append — bounded skew, released wholesale below).

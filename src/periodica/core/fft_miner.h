@@ -2,8 +2,10 @@
 #define PERIODICA_CORE_FFT_MINER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "periodica/core/detail.h"
 #include "periodica/core/options.h"
 #include "periodica/core/periodicity.h"
 #include "periodica/core/stage1.h"
@@ -24,12 +26,15 @@ namespace periodica {
 /// counts come cheaper from the convolution's exact bitset form, one
 /// shifted AND-popcount per lag (core/stage1.h picks the path per call).
 ///
-/// Detection then proceeds in two stages:
-///  1. A *lossless* aggregate pre-filter: (p, k) can satisfy Definition 1 at
-///     some phase only if |W_{p,k}| >= threshold * MinPairCount(n, p).
-///  2. For surviving candidates (positions mode), the in-memory indicator
-///     bitsets are re-walked to split |W_{p,k}| into the per-phase counts
-///     |W_{p,k,l}| = F2(s_k, pi_{p,l}(T)), giving exact Definition-1 output.
+/// Detection then proceeds in two stages, each a named function that Mine
+/// composes (and bench/stagebench times):
+///  1. A *lossless* aggregate pre-filter (internal::PrefilterCandidates):
+///     (p, k) can satisfy Definition 1 at some phase only if
+///     |W_{p,k}| >= threshold * MinPairCount(n, p).
+///  2. For surviving candidates (positions mode), PhaseCounts re-walks the
+///     in-memory indicator bitsets to split |W_{p,k}| into the per-phase
+///     counts |W_{p,k,l}| = F2(s_k, pi_{p,l}(T)), and internal::EmitPeriod
+///     applies Definition 1 to them, giving exact output.
 /// Stage 2 never touches the input stream again; with positions mode off,
 /// only stage 1 runs and summaries carry upper-bound confidences (the
 /// O(n log n) detection phase the paper times in Fig. 5).
@@ -40,9 +45,9 @@ namespace periodica {
 /// merged in a fixed order, so the returned table is byte-identical for
 /// every thread count (see docs/PERFORMANCE.md).
 ///
-/// Thread-safety: the miner is immutable after construction; Mine and the
-/// MatchCounts* queries are const and may be called concurrently from
-/// multiple threads on one instance.
+/// Thread-safety: the miner is immutable after construction; Mine,
+/// MatchCounts and PhaseCounts are const and may be called concurrently
+/// from multiple threads on one instance.
 class FftConvolutionMiner {
  public:
   explicit FftConvolutionMiner(const SymbolSeries& series);
@@ -87,11 +92,15 @@ class FftConvolutionMiner {
       SymbolId symbol, std::size_t max_period,
       internal::Stage1Path* path = nullptr) const;
 
-  /// Identical counts computed with the bounded-lag chunked correlator:
-  /// O(block_size + max_period) FFT working memory instead of a full-length
-  /// transform (block_size 0 picks max(4 * max_period, 4096)).
-  [[nodiscard]] std::vector<std::uint64_t> MatchCountsBounded(
-      SymbolId symbol, std::size_t max_period, std::size_t block_size) const;
+  /// Stage 2 for one period group: appends to `out` the exact per-phase
+  /// counts |W_{p,k,l}| of every candidate in `group` (all of period
+  /// `period`, as internal::PeriodGroups yields them), by symbol in group
+  /// order and then by ascending phase, skipping empty phases. Its working
+  /// memory is one collected position per match plus `period` buckets,
+  /// which Mine charges before calling it.
+  void PhaseCounts(std::size_t period,
+                   std::span<const internal::Candidate> group,
+                   std::vector<internal::PhaseCount>* out) const;
 
  private:
   FftConvolutionMiner(Alphabet alphabet, std::size_t n,

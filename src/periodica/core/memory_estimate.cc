@@ -27,26 +27,11 @@ std::size_t DirectFftScratchBytes(std::size_t n) {
   return 8 * n + 3 * 8 * padded;
 }
 
-std::size_t ChunkedFftScratchBytes(std::size_t max_period,
-                                   std::size_t block_size) {
-  // BoundedLagAutocorrelator: accumulator + tail (max_period doubles each),
-  // a pending block, the staging chunk, and the per-block correlation
-  // transform over block + max_period samples.
-  const std::size_t block =
-      block_size != 0 ? block_size
-                      : std::max<std::size_t>(4 * max_period, 4096);
-  const std::size_t span = block + max_period;
-  const std::size_t padded = NextPowerOfTwoBytes(2 * std::max<std::size_t>(span, 1));
-  return 8 * (2 * max_period + 2 * block) + 3 * 8 * padded;
-}
-
 }  // namespace
 
 namespace internal {
 
-std::size_t Stage1ScratchBytes(std::size_t n, std::size_t max_period,
-                               std::size_t block_size) {
-  if (block_size != 0) return ChunkedFftScratchBytes(max_period, block_size);
+std::size_t Stage1ScratchBytes(std::size_t n, std::size_t max_period) {
   if (Stage1UsesLagWords(n, max_period + 1, util::ActiveSimdKernel())) {
     return 0;
   }
@@ -60,6 +45,10 @@ std::size_t PhaseSplitScratchBytes(std::size_t n) {
   // charges the exact per-group figure (8 * matches + 8 * p +
   // 24 * phase_bound); this is its worst case over any group.
   return 2 * 8 * n + 24 * n;
+}
+
+std::size_t Stage2WindowGroups(std::size_t workers) {
+  return workers > 1 ? 4 * workers : 1;
 }
 
 std::size_t MaxPossibleEntries(std::size_t n, std::size_t sigma,
@@ -98,6 +87,9 @@ MineMemoryEstimate EstimateMineMemory(std::size_t n, std::size_t sigma,
 
   std::size_t max_period = options.max_period == 0 ? n / 2 : options.max_period;
   max_period = std::min(max_period, n > 0 ? n - 1 : 0);
+  const std::size_t min_period = std::max<std::size_t>(options.min_period, 1);
+  const std::size_t threads =
+      util::ThreadPool::ResolveThreadCount(options.num_threads);
 
   MinerEngine engine = options.engine;
   if (engine == MinerEngine::kAuto) {
@@ -117,23 +109,26 @@ MineMemoryEstimate EstimateMineMemory(std::size_t n, std::size_t sigma,
     estimate.stage1_scratch_bytes = internal::PhaseSplitScratchBytes(n);
     estimate.stage2_scratch_bytes = 0;
   } else {
-    const std::size_t workers = std::min<std::size_t>(
-        util::ThreadPool::ResolveThreadCount(options.num_threads),
-        std::max<std::size_t>(sigma, 1));
+    const std::size_t workers =
+        std::min<std::size_t>(threads, std::max<std::size_t>(sigma, 1));
     estimate.workers = workers;
-    estimate.chunked = options.fft_block_size != 0;
     estimate.counts_bytes = sigma * (max_period + 1) * 8;
-    const std::size_t per_task =
-        internal::Stage1ScratchBytes(n, max_period, options.fft_block_size);
-    estimate.lag_words = !estimate.chunked && per_task == 0;
+    const std::size_t per_task = internal::Stage1ScratchBytes(n, max_period);
+    estimate.lag_words = per_task == 0;
     estimate.stage1_scratch_bytes = per_task * workers;
     if (options.positions) {
+      // Stage 2 runs one task per period group, not per symbol, so its
+      // concurrency is the window over the whole pool, not min(threads,
+      // sigma); there are never more groups than periods mined.
+      const std::size_t periods =
+          max_period >= min_period ? max_period - min_period + 1 : 0;
+      const std::size_t groups =
+          std::min(internal::Stage2WindowGroups(threads), periods);
       estimate.stage2_scratch_bytes =
-          internal::PhaseSplitScratchBytes(n) * workers;
+          internal::PhaseSplitScratchBytes(n) * groups;
     }
   }
   if (options.positions) {
-    const std::size_t min_period = std::max<std::size_t>(options.min_period, 1);
     estimate.entry_bytes =
         std::min(options.max_entries,
                  internal::MaxPossibleEntries(n, sigma, min_period,
@@ -150,7 +145,7 @@ std::string MineMemoryEstimate::ToString() const {
     out += ", counts " + util::FormatBytes(counts_bytes);
   }
   out += ", fft " + util::FormatBytes(stage1_scratch_bytes) +
-         (chunked ? " chunked" : lag_words ? " lag-words" : " direct") +
+         (lag_words ? " lag-words" : " direct") +
          " x" + std::to_string(workers) + " workers";
   if (stage2_scratch_bytes != 0) {
     out += ", phase-split " + util::FormatBytes(stage2_scratch_bytes);

@@ -18,10 +18,9 @@ namespace periodica {
 ///
 /// The numbers are upper bounds on the dominant allocations (indicator
 /// bitsets, FFT scratch, phase-split buffers, stored entries), path-aware:
-/// the stage-1 word path (core/stage1.h) needs no FFT scratch, the chunked
-/// correlator (MinerOptions::fft_block_size) replaces the O(n) direct-FFT
-/// scratch with O(block + max_period), and periods-only mode drops the
-/// stage-2 terms entirely. Control-block overhead is not modeled;
+/// the stage-1 word path (core/stage1.h) needs no FFT scratch, and
+/// periods-only mode drops the stage-2 terms entirely. Control-block
+/// overhead is not modeled;
 /// docs/SERVING.md derives the capacity-planning formula from these terms.
 struct MineMemoryEstimate {
   /// Per-symbol indicator bitsets: sigma * ceil(n/64) words. Live for the
@@ -30,21 +29,21 @@ struct MineMemoryEstimate {
   /// Aggregate match-count vectors, sigma * (max_period + 1) u64s. Live
   /// from stage 1 until the call returns.
   std::size_t counts_bytes = 0;
-  /// Stage-1 FFT scratch: per-worker transform buffers, direct or chunked
-  /// (zero on the word path).
+  /// Stage-1 FFT scratch: per-worker transform buffers (zero on the word
+  /// path).
   std::size_t stage1_scratch_bytes = 0;
-  /// Stage-2 phase-split scratch (positions mode only): per-worker match
-  /// position/phase vectors plus the bounded window's per-phase counts.
+  /// Stage-2 phase-split scratch (positions mode only): the worst-case
+  /// match positions, phase buckets and per-phase counts of one period
+  /// group, times the groups one window holds at once
+  /// (internal::Stage2WindowGroups, capped by the periods mined).
   std::size_t stage2_scratch_bytes = 0;
   /// Detailed entry storage cap: max_entries * sizeof(SymbolPeriodicity)
   /// (positions mode only; summaries are negligible).
   std::size_t entry_bytes = 0;
-  /// True when the chunked (bounded-lag) stage-1 path was assumed.
-  bool chunked = false;
   /// True when the stage-1 word path (shifted AND-popcount per lag) was
   /// assumed.
   bool lag_words = false;
-  /// Concurrent workers the scratch terms were multiplied by.
+  /// Concurrent stage-1 workers the FFT scratch was multiplied by.
   std::size_t workers = 1;
 
   /// Allocations held for the whole call: indicators + counts.
@@ -78,14 +77,15 @@ namespace internal {
 /// charges, so what the estimate predicts is exactly what Mine reserves.
 ///
 /// Per-task stage-1 scratch of the FFT engine for lags 0..max_period
-/// (max_period < n): the chunked correlator's when block_size != 0, else
-/// none when Stage1UsesLagWords picks the word path for the active SIMD
-/// kernel, else the direct FFT's.
+/// (max_period < n): none when Stage1UsesLagWords picks the word path for
+/// the active SIMD kernel, else the direct FFT's.
 [[nodiscard]] std::size_t Stage1ScratchBytes(std::size_t n,
-                                             std::size_t max_period,
-                                             std::size_t block_size);
-/// Per-group scratch of one stage-2 phase split.
+                                             std::size_t max_period);
+/// Worst-case scratch of one stage-2 phase split (one period group).
 [[nodiscard]] std::size_t PhaseSplitScratchBytes(std::size_t n);
+/// Period groups whose stage-2 splits Mine runs, and holds charged, at
+/// once: one window of the `workers`-thread pool (1 when sequential).
+[[nodiscard]] std::size_t Stage2WindowGroups(std::size_t workers);
 
 }  // namespace internal
 

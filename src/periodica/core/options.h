@@ -46,14 +46,6 @@ struct MinerOptions {
 
   MinerEngine engine = MinerEngine::kAuto;
 
-  /// When non-zero, the FFT engine computes its per-symbol match counts with
-  /// the bounded-lag chunked correlator using blocks of this many samples
-  /// (O(block + max_period) FFT working memory instead of O(n)) — the
-  /// in-core counterpart of the paper's external-FFT remark. Only sensible
-  /// when max_period is much smaller than the series; output is identical
-  /// either way.
-  std::size_t fft_block_size = 0;
-
   /// kAuto switches from the exact engine to the FFT engine above this
   /// length.
   std::size_t auto_engine_cutoff = 2048;

@@ -1,11 +1,9 @@
 #include "periodica/fft/chunked.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "periodica/fft/convolution.h"
 #include "periodica/util/logging.h"
-#include "periodica/util/thread_pool.h"
 
 namespace periodica::fft {
 
@@ -59,13 +57,6 @@ BoundedLagAutocorrelator::BoundedLagAutocorrelator(std::size_t max_lag,
   pending_.reserve(block_size_);
 }
 
-void BoundedLagAutocorrelator::set_thread_pool(util::ThreadPool* pool) {
-  if (pool == pool_) return;
-  // Dispatch anything staged for the old pool before switching.
-  FlushReady();
-  pool_ = pool;
-}
-
 void BoundedLagAutocorrelator::Append(std::span<const double> chunk) {
   for (const double sample : chunk) {
     pending_.push_back(sample);
@@ -96,83 +87,20 @@ void BoundedLagAutocorrelator::AdvanceTail(const std::vector<double>& block) {
 
 void BoundedLagAutocorrelator::ProcessBuffered() {
   if (pending_.empty()) return;
-  if (pool_ == nullptr || pool_->num_workers() <= 1) {
-    AccumulateBlock(tail_, pending_, max_lag_, &accumulated_);
-    AdvanceTail(pending_);
-    n_ += pending_.size();
-    pending_.clear();
-    return;
-  }
-  // Pool mode: stage the block with the tail it must see; the correlation
-  // (the expensive forward FFTs) runs later, batched across the pool. The
-  // tail and sample count advance now — they depend only on the raw input,
-  // so later blocks can be staged before earlier ones are correlated.
-  ready_.push_back(ReadyBlock{tail_, std::move(pending_)});
+  AccumulateBlock(tail_, pending_, max_lag_, &accumulated_);
+  AdvanceTail(pending_);
+  n_ += pending_.size();
   pending_.clear();
-  const std::vector<double>& staged = ready_.back().block;
-  AdvanceTail(staged);
-  n_ += staged.size();
-  if (ready_.size() >= pool_->num_workers()) FlushReady();
-}
-
-void BoundedLagAutocorrelator::FlushReady() {
-  if (ready_.empty()) return;
-  std::vector<std::vector<double>> partials(
-      ready_.size(), std::vector<double>(max_lag_ + 1, 0.0));
-  PERIODICA_CHECK_OK(
-      util::ParallelFor(pool_, ready_.size(), [&](std::size_t b) {
-        AccumulateBlock(ready_[b].tail, ready_[b].block, max_lag_,
-                        &partials[b]);
-      }));
-  // Fold in block order: the per-lag sums see contributions in the same
-  // order as sequential processing, keeping Lags() bit-identical.
-  for (const std::vector<double>& partial : partials) {
-    for (std::size_t d = 0; d <= max_lag_; ++d) {
-      accumulated_[d] += partial[d];
-    }
-  }
-  ready_.clear();
 }
 
 std::vector<double> BoundedLagAutocorrelator::Lags() const {
   std::vector<double> result = accumulated_;
-  // Account for staged blocks and the buffered remainder without disturbing
-  // stream state (snapshot semantics; Append may continue afterwards).
-  for (const ReadyBlock& staged : ready_) {
-    AccumulateBlock(staged.tail, staged.block, max_lag_, &result);
-  }
+  // Account for the buffered remainder without disturbing stream state
+  // (snapshot semantics; Append may continue afterwards).
   if (!pending_.empty()) {
     AccumulateBlock(tail_, pending_, max_lag_, &result);
   }
   return result;
-}
-
-std::vector<std::uint64_t> BoundedLagBinaryAutocorrelation(
-    std::span<const std::uint8_t> indicator, std::size_t max_lag,
-    std::size_t block_size, util::ThreadPool* pool) {
-  BoundedLagAutocorrelator correlator(max_lag, block_size);
-  correlator.set_thread_pool(pool);
-  std::vector<double> buffer;
-  buffer.reserve(std::min<std::size_t>(indicator.size(), 1 << 16));
-  for (std::size_t start = 0; start < indicator.size();) {
-    const std::size_t end =
-        std::min(indicator.size(), start + std::size_t{1 << 16});
-    buffer.clear();
-    for (std::size_t i = start; i < end; ++i) {
-      buffer.push_back(static_cast<double>(indicator[i]));
-    }
-    correlator.Append(buffer);
-    start = end;
-  }
-  const std::vector<double> raw = correlator.Lags();
-  std::vector<std::uint64_t> counts(raw.size());
-  for (std::size_t d = 0; d < raw.size(); ++d) {
-    const long long rounded = std::llround(raw[d]);
-    PERIODICA_DCHECK(std::abs(raw[d] - static_cast<double>(rounded)) < 0.5)
-        << "accumulated FFT error too large at lag " << d;
-    counts[d] = rounded < 0 ? 0 : static_cast<std::uint64_t>(rounded);
-  }
-  return counts;
 }
 
 }  // namespace periodica::fft

@@ -1,13 +1,8 @@
 #ifndef PERIODICA_FFT_CHUNKED_H_
 #define PERIODICA_FFT_CHUNKED_H_
 
-#include <cstdint>
 #include <span>
 #include <vector>
-
-namespace periodica::util {
-class ThreadPool;
-}  // namespace periodica::util
 
 namespace periodica::internal {
 class CheckpointAccess;
@@ -21,10 +16,12 @@ namespace periodica::fft {
 /// This is the in-core stand-in for the paper's external-memory remark
 /// (Sect. 3.1: "an external FFT algorithm [19] can be used for large sizes
 /// of databases mined while on disk"): when the interesting periods are
-/// bounded, a series far larger than memory can be mined by feeding it
-/// through in chunks — each block is correlated against itself plus the
-/// retained max_lag-sample tail of the prefix, so every pair (i, i+d) with
-/// d <= max_lag is counted exactly once.
+/// bounded, an unbounded stream can be correlated by feeding it through in
+/// chunks — each block is correlated against itself plus the retained
+/// max_lag-sample tail of the prefix, so every pair (i, i+d) with
+/// d <= max_lag is counted exactly once. StreamingPeriodDetector
+/// (core/streaming_detector.h) keeps one per symbol; the batch miner's
+/// bounded-lag counts come from stage 1's lag words instead.
 class BoundedLagAutocorrelator {
  public:
   /// `block_size` 0 picks max(4 * max_lag, 4096).
@@ -36,19 +33,6 @@ class BoundedLagAutocorrelator {
   /// Samples consumed so far.
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  /// Routes block correlations through `pool` (caller-owned; null restores
-  /// sequential processing). Each full block's forward FFTs become one
-  /// independent task: blocks are buffered together with the tail they must
-  /// be correlated against, dispatched once pool->num_workers() of them are
-  /// ready, and their partial lag vectors are folded into the accumulator in
-  /// block order — so Lags() is bit-identical with and without a pool.
-  /// Buffering holds up to num_workers blocks at once, multiplying the
-  /// O(block + max_lag) working memory by the worker count.
-  ///
-  /// The pool must outlive the correlator (or be unset first) and must not
-  /// be shared with another concurrent client during Append.
-  void set_thread_pool(util::ThreadPool* pool);
-
   /// Feeds the next chunk (any length, including empty).
   void Append(std::span<const double> chunk);
 
@@ -59,24 +43,13 @@ class BoundedLagAutocorrelator {
 
  private:
   /// Checkpointing (core/checkpoint.h) snapshots and restores the private
-  /// stream state; blocks staged for a pool must be flushed first (unset the
-  /// pool), so a checkpoint never captures in-flight work.
+  /// stream state.
   friend class ::periodica::internal::CheckpointAccess;
-
-  /// A full block waiting for its correlation pass, snapshotted with the
-  /// retained-history tail it must see (pool mode only).
-  struct ReadyBlock {
-    std::vector<double> tail;
-    std::vector<double> block;
-  };
 
   void ProcessBuffered();
   /// Slides tail_ forward over `block` (the last <= max_lag samples of the
   /// stream so far).
   void AdvanceTail(const std::vector<double>& block);
-  /// Correlates every buffered ReadyBlock across the pool and folds the
-  /// partial lag vectors into accumulated_ in block order.
-  void FlushReady();
 
   std::size_t max_lag_;
   std::size_t block_size_;
@@ -84,18 +57,7 @@ class BoundedLagAutocorrelator {
   std::vector<double> tail_;        // last <= max_lag samples of the prefix
   std::vector<double> pending_;     // buffered input < block_size
   std::size_t n_ = 0;
-  util::ThreadPool* pool_ = nullptr;  // not owned
-  std::vector<ReadyBlock> ready_;    // full blocks awaiting dispatch
 };
-
-/// Convenience: exact integer match counts of a 0/1 indicator at lags
-/// 0..max_lag via the bounded-memory path (counterpart of
-/// BinaryAutocorrelation for bounded lags). `pool` (optional, caller-owned)
-/// spreads the per-block FFTs across workers; counts are identical either
-/// way.
-[[nodiscard]] std::vector<std::uint64_t> BoundedLagBinaryAutocorrelation(
-    std::span<const std::uint8_t> indicator, std::size_t max_lag,
-    std::size_t block_size = 0, util::ThreadPool* pool = nullptr);
 
 }  // namespace periodica::fft
 

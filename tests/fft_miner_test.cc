@@ -1,7 +1,9 @@
 #include "periodica/core/fft_miner.h"
 
 #include <cstdint>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -80,14 +82,26 @@ class EngineEquivalence
     : public ::testing::TestWithParam<
           std::tuple<std::size_t, std::size_t, double, std::uint64_t>> {};
 
+// Both engines under each pre-filter cut: the defaults, and a cut that
+// drops short periods and thinly supported phases.
+void ExpectEnginesAgree(const SymbolSeries& series, double threshold) {
+  for (const auto& [min_period, min_pairs] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {5, 3}}) {
+    SCOPED_TRACE("min_period " + std::to_string(min_period) +
+                 ", min_pairs " + std::to_string(min_pairs));
+    MinerOptions options;
+    options.threshold = threshold;
+    options.min_period = min_period;
+    options.min_pairs = min_pairs;
+    const PeriodicityTable exact = ExactConvolutionMiner(series).Mine(options);
+    const PeriodicityTable fft = FftConvolutionMiner(series).Mine(options);
+    ExpectTablesEqual(fft, exact);
+  }
+}
+
 TEST_P(EngineEquivalence, FftEqualsExactOnRandomSeries) {
   const auto [n, sigma, threshold, seed] = GetParam();
-  const SymbolSeries series = RandomSeries(n, sigma, seed);
-  MinerOptions options;
-  options.threshold = threshold;
-  const PeriodicityTable exact = ExactConvolutionMiner(series).Mine(options);
-  const PeriodicityTable fft = FftConvolutionMiner(series).Mine(options);
-  ExpectTablesEqual(fft, exact);
+  ExpectEnginesAgree(RandomSeries(n, sigma, seed), threshold);
 }
 
 TEST_P(EngineEquivalence, FftEqualsExactOnNoisyPeriodicSeries) {
@@ -103,11 +117,7 @@ TEST_P(EngineEquivalence, FftEqualsExactOnNoisyPeriodicSeries) {
       ApplyNoise(*perfect, NoiseSpec::Combined(0.2, true, true, true, seed));
   ASSERT_TRUE(noisy.ok());
   if (noisy->size() < 2) GTEST_SKIP();
-  MinerOptions options;
-  options.threshold = threshold;
-  const PeriodicityTable exact = ExactConvolutionMiner(*noisy).Mine(options);
-  const PeriodicityTable fft = FftConvolutionMiner(*noisy).Mine(options);
-  ExpectTablesEqual(fft, exact);
+  ExpectEnginesAgree(*noisy, threshold);
 }
 
 INSTANTIATE_TEST_SUITE_P(

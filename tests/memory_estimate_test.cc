@@ -26,7 +26,6 @@ TEST(MemoryEstimateTest, ExactEngineModeledBelowCutoff) {
   MinerOptions options;  // kAuto, cutoff 2048
   const MineMemoryEstimate estimate = EstimateMineMemory(1000, 4, options);
   EXPECT_EQ(estimate.workers, 1u);
-  EXPECT_FALSE(estimate.chunked);
   // sigma*n bits rounded to words: ceil(4000/64)*8 = 504 bytes.
   EXPECT_EQ(estimate.indicator_bytes, 504u);
   EXPECT_GT(estimate.stage1_scratch_bytes, 0u);
@@ -59,22 +58,6 @@ TEST(MemoryEstimateTest, WorkersNeverExceedAlphabet) {
   EXPECT_LE(estimate.workers, 3u);
 }
 
-TEST(MemoryEstimateTest, ChunkedPathShrinksStage1Scratch) {
-  MinerOptions options;
-  options.engine = MinerEngine::kFft;
-  // Above the stage-1 crossover for every kernel at n = 2^20, so the
-  // unchunked mine runs the O(n) direct FFT rather than the word path.
-  options.max_period = 1u << 14;
-  const MineMemoryEstimate direct = EstimateMineMemory(1u << 20, 4, options);
-  ASSERT_FALSE(direct.lag_words);
-  options.fft_block_size = 8192;
-  const MineMemoryEstimate chunked = EstimateMineMemory(1u << 20, 4, options);
-  EXPECT_FALSE(direct.chunked);
-  EXPECT_TRUE(chunked.chunked);
-  EXPECT_LT(chunked.stage1_scratch_bytes, direct.stage1_scratch_bytes)
-      << "bounded-lag scratch is O(block + max_period), not O(n)";
-}
-
 TEST(MemoryEstimateTest, WordPathChargesNoStage1Scratch) {
   // max_period 128 of n = 2^20 is far below the crossover: stage 1 runs
   // shifted AND-popcounts over the indicators and allocates no transform.
@@ -84,7 +67,6 @@ TEST(MemoryEstimateTest, WordPathChargesNoStage1Scratch) {
   options.num_threads = 4;
   const MineMemoryEstimate estimate = EstimateMineMemory(1u << 20, 4, options);
   EXPECT_TRUE(estimate.lag_words);
-  EXPECT_FALSE(estimate.chunked);
   EXPECT_EQ(estimate.stage1_scratch_bytes, 0u);
   EXPECT_NE(estimate.ToString().find("lag-words"), std::string::npos);
 }
@@ -171,6 +153,34 @@ TEST(MinerBudgetTest, WordPathFitsBelowTheDirectFftScratch) {
   const Result<MiningResult> result = ObscureMiner(options).Mine(series);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result.value().periodicities.summaries().empty());
+}
+
+TEST(MinerBudgetTest, PoolCappedAtTheEstimateAdmitsEveryThreadCount) {
+  // A constant series is stage 2's worst case: every position matches at
+  // every lag, so each period group's phase split charges close to its
+  // PhaseSplitScratchBytes bound, and a parallel mine holds a whole
+  // window of groups charged at once. The estimate must cover that at
+  // every worker count, whatever the alphabet.
+  constexpr std::size_t kLength = std::size_t{1} << 14;
+  for (const std::size_t sigma : {1u, 2u}) {
+    SymbolSeries series(Alphabet::Latin(sigma));
+    for (std::size_t i = 0; i < kLength; ++i) series.Append(0);
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      MinerOptions options;
+      options.engine = MinerEngine::kFft;
+      options.max_period = 512;
+      options.num_threads = threads;
+      const MineMemoryEstimate estimate =
+          EstimateMineMemory(series.size(), sigma, options);
+      util::MemoryBudget pool(estimate.total_bytes());
+      options.memory_budget = &pool;
+      const Result<MiningResult> result = ObscureMiner(options).Mine(series);
+      EXPECT_TRUE(result.ok())
+          << "sigma " << sigma << ", " << threads << " threads, estimate "
+          << estimate.ToString() << ": " << result.status();
+      EXPECT_EQ(pool.used(), 0u);
+    }
+  }
 }
 
 TEST(MinerBudgetTest, SharedPoolExhaustionFailsMidFlight) {

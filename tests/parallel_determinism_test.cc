@@ -15,9 +15,7 @@
 #include "periodica/core/fft_miner.h"
 #include "periodica/core/miner.h"
 #include "periodica/core/report.h"
-#include "periodica/fft/chunked.h"
 #include "periodica/gen/synthetic.h"
-#include "periodica/util/thread_pool.h"
 
 namespace periodica {
 namespace {
@@ -87,22 +85,6 @@ TEST(ParallelDeterminismTest, PeriodsOnlyModeMatchesSequential) {
   }
 }
 
-TEST(ParallelDeterminismTest, ChunkedFftModeMatchesSequential) {
-  const SymbolSeries series = NoisySeries(4096, 6, 25);
-  const FftConvolutionMiner miner(series);
-  MinerOptions options;
-  options.threshold = 0.3;
-  options.max_period = 256;
-  options.fft_block_size = 512;  // bounded-lag correlator path
-  const PeriodicityTable sequential = miner.Mine(options);
-  EXPECT_FALSE(sequential.entries().empty());
-  for (const std::size_t threads : {2u, 8u}) {
-    options.num_threads = threads;
-    ExpectTablesIdentical(sequential, miner.Mine(options),
-                          "num_threads = " + std::to_string(threads));
-  }
-}
-
 TEST(ParallelDeterminismTest, MaxEntriesTruncationPointIsStable) {
   // The entry cap trips mid-period on this input; the truncation point (and
   // the truncated flag) must not depend on worker scheduling.
@@ -153,52 +135,6 @@ TEST(ParallelDeterminismTest, StreamPathMatchesSequential) {
     ExpectTablesIdentical(sequential->periodicities, parallel->periodicities,
                           "num_threads = " + std::to_string(threads));
   }
-}
-
-TEST(ParallelDeterminismTest, ChunkedCorrelatorBitIdenticalWithPool) {
-  // Enough samples for several blocks per flush batch, plus a buffered
-  // remainder so the Lags snapshot path is exercised too.
-  std::vector<double> samples;
-  unsigned state = 777;
-  for (int i = 0; i < 10000; ++i) {
-    state = state * 1103515245 + 12345;
-    samples.push_back(static_cast<double>((state >> 16) & 1));
-  }
-  fft::BoundedLagAutocorrelator sequential(/*max_lag=*/100,
-                                           /*block_size=*/512);
-  sequential.Append(samples);
-  const std::vector<double> expected = sequential.Lags();
-
-  util::ThreadPool pool(4);
-  fft::BoundedLagAutocorrelator parallel(/*max_lag=*/100, /*block_size=*/512);
-  parallel.set_thread_pool(&pool);
-  parallel.Append(samples);
-  const std::vector<double> actual = parallel.Lags();
-
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t d = 0; d < expected.size(); ++d) {
-    // Bit-identical, not approximately equal: block partials are folded in
-    // block order, the same order the sequential path accumulates in.
-    EXPECT_EQ(expected[d], actual[d]) << "lag " << d;
-  }
-  EXPECT_EQ(sequential.size(), parallel.size());
-}
-
-TEST(ParallelDeterminismTest, BoundedLagConvenienceMatchesWithPool) {
-  std::vector<std::uint8_t> indicator;
-  unsigned state = 31;
-  for (int i = 0; i < 5000; ++i) {
-    state = state * 1103515245 + 12345;
-    indicator.push_back(((state >> 16) % 3) == 0 ? 1 : 0);
-  }
-  const std::vector<std::uint64_t> expected =
-      fft::BoundedLagBinaryAutocorrelation(indicator, /*max_lag=*/64,
-                                           /*block_size=*/256);
-  util::ThreadPool pool(3);
-  const std::vector<std::uint64_t> actual =
-      fft::BoundedLagBinaryAutocorrelation(indicator, /*max_lag=*/64,
-                                           /*block_size=*/256, &pool);
-  EXPECT_EQ(expected, actual);
 }
 
 }  // namespace
