@@ -29,7 +29,7 @@ PeriodicityTable ExactConvolutionMiner::Mine(
   internal::ScopedMiningCharge fixed_charge(&budget);
   if (Status status = fixed_charge.Acquire(
           mapping_.bits().words().size() * 8 +
-              internal::PhaseSplitScratchBytes(n),
+              internal::ExactPeriodScratchBytes(n),
           "mine (exact): binary mapping + per-period scratch");
       !status.ok()) {
     table.set_resource_error(std::move(status));

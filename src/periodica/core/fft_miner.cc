@@ -5,6 +5,7 @@
 #include <span>
 
 #include "periodica/core/memory_estimate.h"
+#include "periodica/core/stage2.h"
 #include "periodica/util/cpu_features.h"
 #include "periodica/util/logging.h"
 #include "periodica/util/thread_pool.h"
@@ -125,37 +126,19 @@ std::vector<std::uint64_t> FftConvolutionMiner::MatchCounts(
 
 void FftConvolutionMiner::PhaseCounts(
     std::size_t period, std::span<const internal::Candidate> group,
+    const MinerOptions& options,
     std::vector<internal::PhaseCount>* out) const {
   PERIODICA_CHECK_GE(period, 1u);
-  std::vector<std::size_t> match_positions;
-  std::vector<std::uint64_t> phase_counts(period, 0);
+  PERIODICA_CHECK_LT(period, n_);
+  const internal::PhaseThresholds thresholds =
+      internal::Stage2Thresholds(n_, period, options);
+  std::vector<std::uint64_t> planes;
   for (const internal::Candidate& candidate : group) {
     PERIODICA_DCHECK(candidate.period == period);
     const SymbolId k = candidate.symbol;
     PERIODICA_CHECK_LT(static_cast<std::size_t>(k), indicators_.size());
-    const DynamicBitset& indicator = indicators_[k];
-    match_positions.clear();
-    indicator.CollectAndShifted(indicator, period, &match_positions);
-    PERIODICA_DCHECK(match_positions.size() == candidate.matches)
-        << "stage-1 match count disagrees with the indicator bitsets";
-    // Counting buckets instead of sort + run-length: O(m + p) per
-    // candidate rather than O(m log m), and scanning the buckets in index
-    // order emits phases in ascending sequence. Positions arrive in
-    // increasing order, so the phase is tracked against a running multiple
-    // of p instead of a per-position 64-bit modulo (which would otherwise
-    // dominate the split).
-    std::fill(phase_counts.begin(), phase_counts.end(), 0);
-    std::size_t base = 0;  // largest multiple of p <= position
-    for (const std::size_t i : match_positions) {
-      if (i - base >= period) {
-        base = i - base >= 2 * period ? i - (i % period) : base + period;
-      }
-      ++phase_counts[i - base];
-    }
-    for (std::size_t phase = 0; phase < period; ++phase) {
-      if (phase_counts[phase] == 0) continue;
-      out->push_back(internal::PhaseCount{k, phase, phase_counts[phase]});
-    }
+    internal::Stage2PhaseCounts(indicators_[k], period, k, candidate.matches,
+                                thresholds, &planes, out);
   }
 }
 
@@ -273,9 +256,10 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
   // walking the in-memory indicator bitsets (no further pass over the input).
   // Each period's candidate group is an independent PhaseCounts task — the
   // indicator bitsets are only read — whose W_{p,k,l} counts land in a
-  // per-period slot; Definition 1 (EmitPeriod) then runs over the slots in
-  // ascending period order on this thread, which keeps the max_entries
-  // truncation point and the table layout identical to the sequential walk.
+  // per-period slot. The split keeps only the phases Definition 1 passes;
+  // EmitPeriod then turns the slots into entries in ascending period order
+  // on this thread, which keeps the max_entries truncation point and the
+  // table layout identical to the sequential walk.
   struct PeriodGroup {
     std::vector<internal::PhaseCount> counts;
     /// Budget bytes reserved by this group's phase-split task; released
@@ -305,19 +289,11 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
           const std::span<const internal::Candidate> members =
               period_groups[first + offset];
           const std::size_t p = members.front().period;
-          // The FFT already told us how many positions will match, so the
-          // split's scratch (8 bytes per collected position plus one 8-byte
-          // bucket per phase) and its per-phase counts (24 bytes each) are
-          // charged exactly, before anything is allocated.
-          std::uint64_t total_matches = 0;
-          for (const internal::Candidate& candidate : members) {
-            total_matches += candidate.matches;
-          }
-          const std::uint64_t phase_bound = std::min<std::uint64_t>(
-              total_matches, static_cast<std::uint64_t>(p) * members.size());
-          const std::size_t scratch_bytes = static_cast<std::size_t>(
-              8 * total_matches + 8 * static_cast<std::uint64_t>(p) +
-              24 * phase_bound);
+          // The split's planes and fold are sized by p and n alone, and
+          // stage 1's match counts bound how many phases can pass, so the
+          // group is charged before anything is allocated.
+          const std::size_t scratch_bytes =
+              internal::Stage2GroupBytes(n_, p, members, options);
           if (Status status = budget.Reserve(
                   scratch_bytes,
                   "mine: stage-2 phase split for period " + std::to_string(p));
@@ -326,7 +302,7 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
             return;
           }
           group.charged_bytes = scratch_bytes;
-          PhaseCounts(p, members, &group.counts);
+          PhaseCounts(p, members, options, &group.counts);
         }));
     for (std::size_t g = first; g < last; ++g) {
       PeriodGroup& group = groups[g];

@@ -33,8 +33,9 @@ namespace periodica {
 ///     |W_{p,k}| >= threshold * MinPairCount(n, p).
 ///  2. For surviving candidates (positions mode), PhaseCounts re-walks the
 ///     in-memory indicator bitsets to split |W_{p,k}| into the per-phase
-///     counts |W_{p,k,l}| = F2(s_k, pi_{p,l}(T)), and internal::EmitPeriod
-///     applies Definition 1 to them, giving exact output.
+///     counts |W_{p,k,l}| = F2(s_k, pi_{p,l}(T)), keeping only those that
+///     pass Definition 1, and internal::EmitPeriod turns them into entries,
+///     giving exact output.
 /// Stage 2 never touches the input stream again; with positions mode off,
 /// only stage 1 runs and summaries carry upper-bound confidences (the
 /// O(n log n) detection phase the paper times in Fig. 5).
@@ -92,14 +93,17 @@ class FftConvolutionMiner {
       SymbolId symbol, std::size_t max_period,
       internal::Stage1Path* path = nullptr) const;
 
-  /// Stage 2 for one period group: appends to `out` the exact per-phase
-  /// counts |W_{p,k,l}| of every candidate in `group` (all of period
-  /// `period`, as internal::PeriodGroups yields them), by symbol in group
-  /// order and then by ascending phase, skipping empty phases. Its working
-  /// memory is one collected position per match plus `period` buckets,
-  /// which Mine charges before calling it.
+  /// Stage 2 for one period group: appends to `out` exactly the per-phase
+  /// counts |W_{p,k,l}| that Definition 1 keeps under `options` (threshold
+  /// and min_pairs, tested as internal::EmitPeriod does), for every
+  /// candidate in `group` (all of period `period`, as internal::PeriodGroups
+  /// yields them), by symbol in group order and then by ascending phase.
+  /// The counts are bit-sliced column sums (core/stage2.h); the working
+  /// memory is internal::Stage2GroupBytes, which Mine charges before
+  /// calling it.
   void PhaseCounts(std::size_t period,
                    std::span<const internal::Candidate> group,
+                   const MinerOptions& options,
                    std::vector<internal::PhaseCount>* out) const;
 
  private:

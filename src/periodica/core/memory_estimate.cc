@@ -4,6 +4,7 @@
 
 #include "periodica/core/periodicity.h"
 #include "periodica/core/stage1.h"
+#include "periodica/core/stage2.h"
 #include "periodica/util/cpu_features.h"
 #include "periodica/util/memory_budget.h"
 #include "periodica/util/thread_pool.h"
@@ -38,12 +39,10 @@ std::size_t Stage1ScratchBytes(std::size_t n, std::size_t max_period) {
   return DirectFftScratchBytes(n);
 }
 
-std::size_t PhaseSplitScratchBytes(std::size_t n) {
-  // Stage 2, per period group: match positions (<= n size_t, since at most n
-  // positions can match one lag across all symbols), the per-phase counting
-  // buckets (p < n of them), and the PhaseCount output. The mining loop
-  // charges the exact per-group figure (8 * matches + 8 * p +
-  // 24 * phase_bound); this is its worst case over any group.
+std::size_t ExactPeriodScratchBytes(std::size_t n) {
+  // One period of the exact engine: matched bit positions (<= n size_t,
+  // since at most n positions can match one lag across all symbols), their
+  // (symbol, phase) keys, and the PhaseCount output.
   return 2 * 8 * n + 24 * n;
 }
 
@@ -106,7 +105,7 @@ MineMemoryEstimate EstimateMineMemory(std::size_t n, std::size_t sigma,
     estimate.workers = 1;  // the exact engine is sequential
     estimate.counts_bytes = 0;
     estimate.indicator_bytes = ((sigma * n + 63) / 64) * 8;
-    estimate.stage1_scratch_bytes = internal::PhaseSplitScratchBytes(n);
+    estimate.stage1_scratch_bytes = internal::ExactPeriodScratchBytes(n);
     estimate.stage2_scratch_bytes = 0;
   } else {
     const std::size_t workers =
@@ -125,7 +124,7 @@ MineMemoryEstimate EstimateMineMemory(std::size_t n, std::size_t sigma,
       const std::size_t groups =
           std::min(internal::Stage2WindowGroups(threads), periods);
       estimate.stage2_scratch_bytes =
-          internal::PhaseSplitScratchBytes(n) * groups;
+          internal::Stage2GroupBoundBytes(n, sigma, max_period) * groups;
     }
   }
   if (options.positions) {

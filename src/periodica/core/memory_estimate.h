@@ -33,9 +33,9 @@ struct MineMemoryEstimate {
   /// path).
   std::size_t stage1_scratch_bytes = 0;
   /// Stage-2 phase-split scratch (positions mode only): the worst-case
-  /// match positions, phase buckets and per-phase counts of one period
-  /// group, times the groups one window holds at once
-  /// (internal::Stage2WindowGroups, capped by the periods mined).
+  /// bit-planes, fold and passing per-phase counts of one period group
+  /// (internal::Stage2GroupBoundBytes), times the groups one window holds
+  /// at once (internal::Stage2WindowGroups, capped by the periods mined).
   std::size_t stage2_scratch_bytes = 0;
   /// Detailed entry storage cap: max_entries * sizeof(SymbolPeriodicity)
   /// (positions mode only; summaries are negligible).
@@ -81,8 +81,9 @@ namespace internal {
 /// the active SIMD kernel, else the direct FFT's.
 [[nodiscard]] std::size_t Stage1ScratchBytes(std::size_t n,
                                              std::size_t max_period);
-/// Worst-case scratch of one stage-2 phase split (one period group).
-[[nodiscard]] std::size_t PhaseSplitScratchBytes(std::size_t n);
+/// Worst-case scratch of one period of the exact engine (stage 2 of the
+/// FFT engine has its own terms, core/stage2.h).
+[[nodiscard]] std::size_t ExactPeriodScratchBytes(std::size_t n);
 /// Period groups whose stage-2 splits Mine runs, and holds charged, at
 /// once: one window of the `workers`-thread pool (1 when sequential).
 [[nodiscard]] std::size_t Stage2WindowGroups(std::size_t workers);

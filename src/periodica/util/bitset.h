@@ -90,8 +90,8 @@ class DynamicBitset {
                                             std::size_t shift) const;
 
   /// Appends to `out` every position i with Test(i) && other.Test(i + shift),
-  /// in increasing order of i. This is stage 2 of the FFT miner (phase
-  /// refinement). Like CountAndShifted, the word loop dispatches to the
+  /// in increasing order of i. This is the exact engine's per-period
+  /// collection. Like CountAndShifted, the word loop dispatches to the
   /// active SIMD kernel; the appended positions are identical — including
   /// their order — under every kernel.
   void CollectAndShifted(const DynamicBitset& other, std::size_t shift,

@@ -158,7 +158,7 @@ TEST(MinerBudgetTest, WordPathFitsBelowTheDirectFftScratch) {
 TEST(MinerBudgetTest, PoolCappedAtTheEstimateAdmitsEveryThreadCount) {
   // A constant series is stage 2's worst case: every position matches at
   // every lag, so each period group's phase split charges close to its
-  // PhaseSplitScratchBytes bound, and a parallel mine holds a whole
+  // Stage2GroupBoundBytes bound, and a parallel mine holds a whole
   // window of groups charged at once. The estimate must cover that at
   // every worker count, whatever the alphabet.
   constexpr std::size_t kLength = std::size_t{1} << 14;
@@ -181,6 +181,28 @@ TEST(MinerBudgetTest, PoolCappedAtTheEstimateAdmitsEveryThreadCount) {
       EXPECT_EQ(pool.used(), 0u);
     }
   }
+}
+
+TEST(MemoryEstimateTest, Stage2TermTracksThePoolHighWater) {
+  // The estimate bounds each stage-2 group by max_period, sigma and
+  // bit_width(n), not by n, so at 8 threads (a window of 32 groups) it
+  // stays within 2x of what a constant series really holds at peak.
+  constexpr std::size_t kLength = std::size_t{1} << 16;
+  SymbolSeries series(Alphabet::Latin(1));
+  for (std::size_t i = 0; i < kLength; ++i) series.Append(0);
+  MinerOptions options;
+  options.engine = MinerEngine::kFft;
+  options.max_period = 1024;
+  options.num_threads = 8;
+  const MineMemoryEstimate estimate =
+      EstimateMineMemory(series.size(), 1, options);
+  util::MemoryBudget pool(0);  // unlimited; records the high water
+  options.memory_budget = &pool;
+  const Result<MiningResult> result = ObscureMiner(options).Mine(series);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GE(estimate.total_bytes(), pool.high_water()) << estimate.ToString();
+  EXPECT_LT(estimate.total_bytes(), 2 * pool.high_water())
+      << estimate.ToString() << " vs high water " << pool.high_water();
 }
 
 TEST(MinerBudgetTest, SharedPoolExhaustionFailsMidFlight) {

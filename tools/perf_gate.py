@@ -7,6 +7,11 @@ Two subcommands:
       Validate benchmark JSON files against the documented schemas
       (bench/README.md). Exit 3 on any schema violation.
 
+  perf_gate.py self-test
+      Prove the lint and check rules fire on seeded documents: a valid
+      record passes, a broken schema is rejected, a regressed stage and a
+      losing SIMD kernel fail the check. Exit 0 when every rule fires.
+
   perf_gate.py check --baseline FILE --current FILE [options]
       Compare a fresh benchmark run against a committed baseline. The
       "bench" field selects the comparison (stagebench or micro_parallel).
@@ -23,8 +28,9 @@ Two subcommands:
 
       Skips and refusals exit 0 (4 with --strict). Regressions exit 2.
 
-Exit codes: 0 pass or skip, 1 usage/IO error, 2 regression,
-3 schema violation, 4 refused comparison under --strict.
+Exit codes: 0 pass or skip, 1 usage/IO error, 2 regression (or a dead
+rule under self-test), 3 schema violation, 4 refused comparison under
+--strict.
 """
 
 import argparse
@@ -58,9 +64,17 @@ def _require(obj, key, types, where):
 NUMBER = (int, float)
 
 
+# The within-run SIMD ratio each stagebench schema records: schema 2 timed
+# stage 2 per kernel, schema 3 times only stage 1 per kernel (stage 2 no
+# longer dispatches on SIMD).
+SIMD_SPEEDUP_FIELD = {2: "stage2_simd_speedup", 3: "stage1_simd_speedup"}
+SIMD_SPEEDUP_STAGE = {2: "stage2_phase_refine", 3: "stage1_match_counts"}
+
+
 def lint_stagebench(doc, where):
     """BENCH_stages.json schema; documented in bench/README.md."""
-    if _require(doc, "schema_version", int, where) != 2:
+    version = _require(doc, "schema_version", int, where)
+    if version not in SIMD_SPEEDUP_FIELD:
         raise SchemaError(f"{where}: unknown schema_version")
     _require(doc, "quick", bool, where)
     for key in ("n", "sigma", "period", "max_period", "repeats",
@@ -69,7 +83,7 @@ def lint_stagebench(doc, where):
     _require(doc, "threshold", NUMBER, where)
     for key in ("arch", "cpu_model", "simd_detected", "cycle_counter"):
         _require(doc, key, str, where)
-    _require(doc, "stage2_simd_speedup", NUMBER, where)
+    _require(doc, SIMD_SPEEDUP_FIELD[version], NUMBER, where)
     stages = _require(doc, "stages", list, where)
     if not stages:
         raise SchemaError(f"{where}: 'stages' is empty")
@@ -179,30 +193,30 @@ def check_host_compatible(baseline, current, params):
 
 
 def check_stagebench_within_run(current, args):
-    """Baseline-free check: on any host with a vector kernel, stage-2 SIMD
-    must not lose to scalar. Runs even when the cross-host comparison is
-    refused, so CI keeps this gate on runners the baseline does not match.
-    Skipped on scalar-only hosts, where the reported speedup is trivially
-    1.0 against itself."""
+    """Baseline-free check: on any host with a vector kernel, the stage
+    that dispatches on SIMD (stage 1 since schema 3) must not lose to
+    scalar. Runs even when the cross-host comparison is refused, so CI
+    keeps this gate on runners the baseline does not match. Skipped on
+    scalar-only hosts, where the reported speedup is trivially 1.0
+    against itself."""
     failures = []
-    stage2_kernels = {
-        s["kernel"] for s in current["stages"]
-        if s["stage"] == "stage2_phase_refine"
-    }
-    if len(stage2_kernels) > 1:
-        speedup = current["stage2_simd_speedup"]
+    field = SIMD_SPEEDUP_FIELD[current["schema_version"]]
+    stage = SIMD_SPEEDUP_STAGE[current["schema_version"]]
+    kernels = {s["kernel"] for s in current["stages"] if s["stage"] == stage}
+    if len(kernels) > 1:
+        speedup = current[field]
         verdict = "ok" if speedup >= args.min_simd_speedup else "REGRESSED"
         print(
-            f"  stage2_simd_speedup {speedup:.3f} "
+            f"  {field} {speedup:.3f} "
             f"(minimum {args.min_simd_speedup:.3f}): {verdict}"
         )
         if speedup < args.min_simd_speedup:
             failures.append(
-                f"stage2_simd_speedup {speedup:.3f} below required "
+                f"{field} {speedup:.3f} below required "
                 f"{args.min_simd_speedup:.3f}"
             )
     else:
-        print("  note: single stage-2 kernel on this host; "
+        print(f"  note: single {stage} kernel on this host; "
               "SIMD speedup check skipped")
     return failures
 
@@ -232,26 +246,33 @@ def check_stagebench(baseline, current, args):
     }
     for key, base_min in sorted(base_stages.items()):
         stage, kernel = key
-        if key not in cur_stages:
+        compared = key
+        if key not in cur_stages and (stage, "default") in cur_stages:
+            # The stage stopped dispatching on SIMD: its one row is held to
+            # the baseline of every kernel it replaced.
+            compared = (stage, "default")
+        if compared not in cur_stages:
             failures.append(
                 f"stage {stage} [{kernel}]: present in baseline but "
                 f"missing from the current run"
             )
             continue
-        cur_min = cur_stages[key]
+        cur_min = cur_stages[compared]
         limit = base_min * (1.0 + args.max_regress)
         verdict = "ok" if cur_min <= limit else "REGRESSED"
+        label = kernel if compared == key else f"{kernel}->default"
         print(
-            f"  {stage:<22} [{kernel:<7}] baseline {base_min:9.3f} ms, "
+            f"  {stage:<22} [{label:<7}] baseline {base_min:9.3f} ms, "
             f"current {cur_min:9.3f} ms (limit {limit:9.3f}): {verdict}"
         )
         if cur_min > limit:
             failures.append(
-                f"stage {stage} [{kernel}]: {cur_min:.3f} ms vs baseline "
+                f"stage {stage} [{label}]: {cur_min:.3f} ms vs baseline "
                 f"{base_min:.3f} ms exceeds +{args.max_regress:.0%}"
             )
     for key in sorted(set(cur_stages) - set(base_stages)):
-        print(f"  note: stage {key[0]} [{key[1]}] is new (no baseline)")
+        if not any(k[0] == key[0] for k in base_stages):
+            print(f"  note: stage {key[0]} [{key[1]}] is new (no baseline)")
     return failures
 
 
@@ -340,6 +361,92 @@ def cmd_check(args):
     return 0
 
 
+def _seed_stagebench(version=3, stage2_ms=10.0, scalar_ms=100.0,
+                     simd_ms=20.0):
+    """A minimal valid stagebench record for the self-test."""
+    def row(stage, kernel, ms, **extra):
+        return dict(stage=stage, kernel=kernel, cycles_min=1,
+                    wall_ms=dict(min=ms, mean=ms, max=ms),
+                    samples_ms=[ms], **extra)
+
+    paths = dict(crossover_lags=1, paths=["lag_words"])
+    doc = dict(bench="stagebench", schema_version=version, quick=True, n=64,
+               sigma=1, period=2, max_period=8, threshold=0.3, repeats=1,
+               hardware_threads=4, arch="x86_64", cpu_model="seed",
+               simd_detected="avx2", cycle_counter="rdtsc")
+    doc[SIMD_SPEEDUP_FIELD[version]] = scalar_ms / simd_ms
+    doc["stages"] = [
+        row("stage1_match_counts", "scalar", scalar_ms, **paths),
+        row("stage1_match_counts", "avx2", simd_ms, **paths),
+    ]
+    if version == 2:
+        doc["stages"] += [row("stage2_phase_refine", "scalar", stage2_ms),
+                          row("stage2_phase_refine", "avx2", stage2_ms)]
+    else:
+        doc["stages"].append(
+            row("stage2_phase_refine", "default", stage2_ms))
+    return doc
+
+
+def cmd_self_test(_args):
+    """Every lint and check rule must fire on a seeded violation."""
+    gate = argparse.Namespace(max_regress=DEFAULT_MAX_REGRESS,
+                              min_simd_speedup=DEFAULT_MIN_SIMD_SPEEDUP)
+    dead = []
+
+    def expect(name, fired):
+        print(f"perf_gate self-test: {name}: "
+              f"{'ok' if fired else 'DEAD RULE'}")
+        if not fired:
+            dead.append(name)
+
+    def lint_fails(doc):
+        try:
+            lint_stagebench(doc, "seed")
+        except SchemaError:
+            return True
+        return False
+
+    def check_fails(baseline, current):
+        try:
+            return bool(check_stagebench(baseline, current, gate))
+        except Refused:
+            return False
+
+    for version in SIMD_SPEEDUP_FIELD:
+        expect(f"schema {version} record lints clean",
+               not lint_fails(_seed_stagebench(version)))
+        broken = _seed_stagebench(version)
+        del broken[SIMD_SPEEDUP_FIELD[version]]
+        expect(f"schema {version} without {SIMD_SPEEDUP_FIELD[version]} "
+               "is rejected", lint_fails(broken))
+    expect("unknown schema_version is rejected",
+           lint_fails(_seed_stagebench(3) | dict(schema_version=1)))
+    wrong_paths = _seed_stagebench(3)
+    wrong_paths["stages"][0]["paths"] = []
+    expect("stage-1 row without a path per symbol is rejected",
+           lint_fails(wrong_paths))
+    expect("unchanged record passes the check",
+           not check_fails(_seed_stagebench(3), _seed_stagebench(3)))
+    expect("a stage 30% slower fails the check",
+           check_fails(_seed_stagebench(3),
+                       _seed_stagebench(3, stage2_ms=13.0)))
+    expect("a default row is held to every kernel row it replaced",
+           check_fails(_seed_stagebench(2, stage2_ms=10.0),
+                       _seed_stagebench(3, stage2_ms=13.0))
+           and not check_fails(_seed_stagebench(2, stage2_ms=10.0),
+                               _seed_stagebench(3, stage2_ms=12.0)))
+    expect("a vector kernel losing to scalar fails the within-run check",
+           bool(check_stagebench_within_run(
+               _seed_stagebench(3, scalar_ms=100.0, simd_ms=110.0), gate)))
+    if dead:
+        print(f"perf_gate self-test: {len(dead)} dead rule(s)",
+              file=sys.stderr)
+        return 2
+    print("perf_gate self-test: pass")
+    return 0
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="perf_gate.py",
@@ -352,6 +459,10 @@ def main(argv):
     lint.add_argument("files", nargs="+")
     lint.set_defaults(func=cmd_lint)
 
+    self_test = sub.add_parser(
+        "self-test", help="prove every lint and check rule fires")
+    self_test.set_defaults(func=cmd_self_test)
+
     check = sub.add_parser("check", help="compare a run against a baseline")
     check.add_argument("--baseline", required=True)
     check.add_argument("--current", required=True)
@@ -362,7 +473,7 @@ def main(argv):
     )
     check.add_argument(
         "--min-simd-speedup", type=float, default=DEFAULT_MIN_SIMD_SPEEDUP,
-        help="required stage-2 scalar/SIMD ratio within the current run "
+        help="required stage-1 scalar/SIMD ratio within the current run "
              f"(default {DEFAULT_MIN_SIMD_SPEEDUP})",
     )
     check.add_argument(
