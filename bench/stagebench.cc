@@ -13,8 +13,9 @@
 //
 // Methodology (docs/PERFORMANCE.md, "Measuring: stagebench"): every stage
 // runs once unrecorded to warm caches (FFT plans, twiddles, page faults),
-// then --repeats recorded runs; the JSON keeps every wall-clock sample plus
-// min/mean/max and the minimum cycle count (util::CycleCount — see
+// then --repeats recorded rounds, each timing every stage once, so each
+// row's samples span the whole run; the JSON keeps every wall-clock sample
+// plus min/mean/max and the minimum cycle count (util::CycleCount — see
 // "cycle_counter" in the output for the unit). Stage 1 runs once per
 // kernel available on this host via the ScopedSimdKernelOverride test hook,
 // records which path (lag words or FFT, core/stage1.h) each symbol took
@@ -28,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <numeric>
@@ -109,24 +111,41 @@ struct StageResult {
   }
 };
 
-/// Runs `body` once unrecorded (warm-up) and `repeats` recorded times.
-template <typename Body>
-StageResult TimeStage(const std::string& stage, const std::string& kernel,
-                      std::int64_t repeats, Body&& body) {
+/// A stage under test: its row, and the work one recorded sample times.
+struct Stage {
   StageResult result;
-  result.stage = stage;
-  result.kernel = kernel;
-  result.cycles_min = std::numeric_limits<std::uint64_t>::max();
-  body();  // warm-up: plans, twiddles, and page faults land here
+  std::function<void()> body;
+};
+
+/// Appends a stage and runs its body once unrecorded (warm-up: plans,
+/// twiddles and page faults land here, and the outputs later stages read
+/// are computed).
+void AddStage(std::vector<Stage>& stages, std::string stage,
+              std::string kernel, std::function<void()> body) {
+  body();
+  Stage added;
+  added.result.stage = std::move(stage);
+  added.result.kernel = std::move(kernel);
+  added.result.cycles_min = std::numeric_limits<std::uint64_t>::max();
+  added.body = std::move(body);
+  stages.push_back(std::move(added));
+}
+
+/// Records `repeats` rounds, each timing every stage once in order. A row's
+/// samples are spread over the whole run instead of one stretch of it: on a
+/// shared host whose speed drifts over seconds, back-to-back samples of one
+/// stage share one speed, and their minimum swings from run to run.
+void TimeRounds(std::vector<Stage>& stages, std::int64_t repeats) {
   for (std::int64_t rep = 0; rep < repeats; ++rep) {
-    const std::uint64_t cycles_begin = util::CycleCount();
-    Stopwatch watch;
-    body();
-    result.samples_ms.push_back(watch.ElapsedSeconds() * 1000.0);
-    const std::uint64_t cycles = util::CycleCount() - cycles_begin;
-    result.cycles_min = std::min(result.cycles_min, cycles);
+    for (Stage& stage : stages) {
+      const std::uint64_t cycles_begin = util::CycleCount();
+      Stopwatch watch;
+      stage.body();
+      stage.result.samples_ms.push_back(watch.ElapsedSeconds() * 1000.0);
+      const std::uint64_t cycles = util::CycleCount() - cycles_begin;
+      stage.result.cycles_min = std::min(stage.result.cycles_min, cycles);
+    }
   }
-  return result;
 }
 
 int Run(int argc, char** argv) {
@@ -149,11 +168,12 @@ int Run(int argc, char** argv) {
                  "alphabet size (controls stage-2 match density)");
   flags.AddInt64("period", &period, "embedded period of the synthetic input");
   flags.AddInt64("max_period", &max_period, "largest period mined");
-  flags.AddInt64("repeats", &repeats, "recorded runs per stage (min is kept)");
+  flags.AddInt64("repeats", &repeats,
+                 "recorded rounds of every stage (min is kept)");
   flags.AddDouble("threshold", &threshold,
                   "pre-filter threshold deciding the stage-2 candidate set");
   flags.AddBool("quick", &quick,
-                "CI scale: n = 2^16, max_period = 1024, repeats = 5 "
+                "CI scale: n = 2^16, max_period = 1024, repeats = 10 "
                 "(overrides --n/--max_period/--repeats)");
   flags.AddString("json", &json,
                   "write machine-readable results here (default '' = "
@@ -162,7 +182,7 @@ int Run(int argc, char** argv) {
   if (quick) {
     n = std::int64_t{1} << 16;
     max_period = 1024;
-    repeats = 5;
+    repeats = 10;
   }
 
   // Same synthetic input family as micro_parallel: a planted period with 10%
@@ -190,13 +210,13 @@ int Run(int argc, char** argv) {
             << ", hardware threads = "
             << std::thread::hardware_concurrency() << "\n\n";
 
-  std::vector<StageResult> results;
+  std::vector<Stage> stages;
 
   // --- Stage 0: indicator construction (the miner's one pass). -----------
-  results.push_back(TimeStage("indicator_build", "default", repeats, [&] {
+  AddStage(stages, "indicator_build", "default", [&] {
     const FftConvolutionMiner built(series);
     PERIODICA_CHECK(built.size() == length);
-  }));
+  });
 
   // The miner every later stage reads from (indicators built once, outside
   // the timed regions).
@@ -209,40 +229,28 @@ int Run(int argc, char** argv) {
   // The kernel decides the path (lag words or FFT) as well as the word
   // loop's speed, so each kernel gets its own row; every kernel must
   // produce the counts the first one did.
-  std::vector<std::vector<std::uint64_t>> match_counts;
-  double stage1_scalar_min_ms = 0.0;
-  double stage1_best_min_ms = 0.0;
-  for (int ki = 0; ki < num_kernels; ++ki) {
+  const std::size_t first_stage1 = stages.size();
+  std::vector<std::vector<std::vector<std::uint64_t>>> kernel_counts(
+      static_cast<std::size_t>(num_kernels),
+      std::vector<std::vector<std::uint64_t>>(static_cast<std::size_t>(sigma)));
+  std::vector<std::vector<internal::Stage1Path>> kernel_paths(
+      kernel_counts.size(),
+      std::vector<internal::Stage1Path>(static_cast<std::size_t>(sigma)));
+  for (std::size_t ki = 0; ki < kernel_counts.size(); ++ki) {
     const util::SimdKernel kernel = kernels[ki];
-    const util::ScopedSimdKernelOverride forced(kernel);
-    std::vector<std::vector<std::uint64_t>> counts(
-        static_cast<std::size_t>(sigma));
-    std::vector<internal::Stage1Path> paths(counts.size());
-    StageResult timed = TimeStage(
-        "stage1_match_counts", util::SimdKernelName(kernel), repeats, [&] {
-          for (std::size_t k = 0; k < counts.size(); ++k) {
-            counts[k] = miner.MatchCounts(static_cast<SymbolId>(k), max_lag,
-                                          &paths[k]);
-          }
-        });
-    if (match_counts.empty()) match_counts = counts;
-    PERIODICA_CHECK(counts == match_counts)
-        << "kernel " << util::SimdKernelName(kernel)
-        << " produced different stage-1 counts than "
-        << util::SimdKernelName(kernels[0]);
-    timed.paths = std::move(paths);
-    timed.crossover_lags = internal::Stage1CrossoverLags(length, kernel);
-    if (kernel == util::SimdKernel::kScalar) {
-      stage1_scalar_min_ms = timed.MinMs();
-      if (stage1_best_min_ms == 0.0) stage1_best_min_ms = timed.MinMs();
-    } else {
-      stage1_best_min_ms = timed.MinMs();
-    }
-    results.push_back(std::move(timed));
+    std::vector<std::vector<std::uint64_t>>& counts = kernel_counts[ki];
+    std::vector<internal::Stage1Path>& paths = kernel_paths[ki];
+    AddStage(stages, "stage1_match_counts", util::SimdKernelName(kernel),
+             [&, kernel] {
+               const util::ScopedSimdKernelOverride forced(kernel);
+               for (std::size_t k = 0; k < counts.size(); ++k) {
+                 counts[k] = miner.MatchCounts(static_cast<SymbolId>(k),
+                                               max_lag, &paths[k]);
+               }
+             });
   }
-  const double stage1_simd_speedup =
-      stage1_best_min_ms > 0.0 ? stage1_scalar_min_ms / stage1_best_min_ms
-                               : 1.0;
+  const std::vector<std::vector<std::uint64_t>>& match_counts =
+      kernel_counts.front();
 
   // Candidate derivation: Mine()'s own pre-filter at --threshold (default
   // min_period and min_pairs), so stage 2 below refines the same
@@ -263,25 +271,23 @@ int Run(int argc, char** argv) {
   std::uint64_t stage2_checksum = 0;
   std::size_t stage2_kept = 0;
   std::vector<internal::PhaseCount> phase_counts;
-  results.push_back(
-      TimeStage("stage2_phase_refine", "default", repeats, [&] {
-        stage2_checksum = 0;
-        stage2_kept = 0;
-        for (const std::span<const internal::Candidate> group : groups) {
-          phase_counts.clear();
-          miner.PhaseCounts(group.front().period, group, options,
-                            &phase_counts);
-          stage2_kept += phase_counts.size();
-          for (const internal::PhaseCount& count : phase_counts) {
-            stage2_checksum =
-                stage2_checksum * 1000003u +
-                static_cast<std::uint64_t>(count.phase + 1) * 31u + count.f2;
-          }
-        }
-      }));
+  AddStage(stages, "stage2_phase_refine", "default", [&] {
+    stage2_checksum = 0;
+    stage2_kept = 0;
+    for (const std::span<const internal::Candidate> group : groups) {
+      phase_counts.clear();
+      miner.PhaseCounts(group.front().period, group, options, &phase_counts);
+      stage2_kept += phase_counts.size();
+      for (const internal::PhaseCount& count : phase_counts) {
+        stage2_checksum =
+            stage2_checksum * 1000003u +
+            static_cast<std::uint64_t>(count.phase + 1) * 31u + count.f2;
+      }
+    }
+  });
 
   // --- Stage 3: the chunked bounded-lag correlator. -----------------------
-  results.push_back(TimeStage("chunked_correlator", "default", repeats, [&] {
+  AddStage(stages, "chunked_correlator", "default", [&] {
     fft::BoundedLagAutocorrelator correlator(max_lag, /*block_size=*/0);
     std::vector<double> buffer;
     const std::size_t chunk =
@@ -297,7 +303,33 @@ int Run(int argc, char** argv) {
     }
     const std::vector<double> lags = correlator.Lags();
     PERIODICA_CHECK(lags.size() == max_lag + 1);
-  }));
+  });
+
+  TimeRounds(stages, repeats);
+
+  std::vector<StageResult> results;
+  for (Stage& stage : stages) results.push_back(std::move(stage.result));
+  double stage1_scalar_min_ms = 0.0;
+  double stage1_best_min_ms = 0.0;
+  for (std::size_t ki = 0; ki < kernel_counts.size(); ++ki) {
+    const util::SimdKernel kernel = kernels[ki];
+    PERIODICA_CHECK(kernel_counts[ki] == match_counts)
+        << "kernel " << util::SimdKernelName(kernel)
+        << " produced different stage-1 counts than "
+        << util::SimdKernelName(kernels[0]);
+    StageResult& timed = results[first_stage1 + ki];
+    timed.paths = std::move(kernel_paths[ki]);
+    timed.crossover_lags = internal::Stage1CrossoverLags(length, kernel);
+    if (kernel == util::SimdKernel::kScalar) {
+      stage1_scalar_min_ms = timed.MinMs();
+      if (stage1_best_min_ms == 0.0) stage1_best_min_ms = timed.MinMs();
+    } else {
+      stage1_best_min_ms = timed.MinMs();
+    }
+  }
+  const double stage1_simd_speedup =
+      stage1_best_min_ms > 0.0 ? stage1_scalar_min_ms / stage1_best_min_ms
+                               : 1.0;
 
   TextTable table({"Stage", "Kernel", "Min (ms)", "Mean (ms)", "Max (ms)",
                    "Stage-1 paths"});

@@ -33,7 +33,7 @@ struct MineMemoryEstimate {
   /// path).
   std::size_t stage1_scratch_bytes = 0;
   /// Stage-2 phase-split scratch (positions mode only): the worst-case
-  /// bit-planes, fold and passing per-phase counts of one period group
+  /// bit-planes and passing per-phase counts of one period group
   /// (internal::Stage2GroupBoundBytes), times the groups one window holds
   /// at once (internal::Stage2WindowGroups, capped by the periods mined).
   std::size_t stage2_scratch_bytes = 0;

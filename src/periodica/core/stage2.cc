@@ -380,18 +380,16 @@ std::size_t Stage2GroupBytes(std::size_t n, std::size_t period,
       {total_matches, static_cast<std::uint64_t>(period) * group.size(),
        passing});
   return 8 * (PlaneCount(n, period) + 1) * RowWords(period) +
-         (period < 64 ? 8 * period : 0) + static_cast<std::size_t>(24 * stored);
+         static_cast<std::size_t>(24 * stored);
 }
 
 std::size_t Stage2GroupBoundBytes(std::size_t n, std::size_t sigma,
                                   std::size_t max_period) {
   // K <= bit_width(n), plus the carry row; a row spans at most two words
-  // below p = 64 and ceil(p/64) from there; the fold has at most 63
-  // entries; and a group stores at most one phase per match (<= n) and p
-  // per symbol.
+  // below p = 64 and ceil(p/64) from there; and a group stores at most one
+  // phase per match (<= n) and p per symbol.
   const std::size_t words = std::max<std::size_t>(2, (max_period + 63) / 64);
   return 8 * (static_cast<std::size_t>(std::bit_width(n)) + 1) * words +
-         8 * std::min<std::size_t>(max_period, 63) +
          24 * std::min(n, sigma * max_period);
 }
 

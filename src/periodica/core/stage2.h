@@ -87,8 +87,7 @@ void Stage2PhaseCounts(const DynamicBitset& indicator, std::size_t period,
 
 /// The bytes Mine charges before splitting one period group of a
 /// length-`n` series: the planes and their carry row
-/// (8 * (K + 1) * ceil(P/64)), the fold (8p when p < 64) and 24 bytes per
-/// phase that can pass, at most
+/// (8 * (K + 1) * ceil(P/64)) and 24 bytes per phase that can pass, at most
 /// min(sum of matches, p * |group|, sum of matches / thresholds.Min()).
 [[nodiscard]] std::size_t Stage2GroupBytes(std::size_t n, std::size_t period,
                                            std::span<const Candidate> group,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Performance gate for the committed BENCH_*.json baselines.
 
-Two subcommands:
+Three subcommands:
 
   perf_gate.py lint FILE...
       Validate benchmark JSON files against the documented schemas
@@ -64,18 +64,21 @@ def _require(obj, key, types, where):
 NUMBER = (int, float)
 
 
-# The within-run SIMD ratio each stagebench schema records: schema 2 timed
-# stage 2 per kernel, schema 3 times only stage 1 per kernel (stage 2 no
-# longer dispatches on SIMD).
-SIMD_SPEEDUP_FIELD = {2: "stage2_simd_speedup", 3: "stage1_simd_speedup"}
-SIMD_SPEEDUP_STAGE = {2: "stage2_phase_refine", 3: "stage1_match_counts"}
+# The one stage stagebench times per SIMD kernel, and the within-run
+# scalar/best ratio it records for it.
+STAGEBENCH_SCHEMA_VERSION = 3
+SIMD_SPEEDUP_FIELD = "stage1_simd_speedup"
+SIMD_SPEEDUP_STAGE = "stage1_match_counts"
 
 
 def lint_stagebench(doc, where):
     """BENCH_stages.json schema; documented in bench/README.md."""
     version = _require(doc, "schema_version", int, where)
-    if version not in SIMD_SPEEDUP_FIELD:
-        raise SchemaError(f"{where}: unknown schema_version")
+    if version != STAGEBENCH_SCHEMA_VERSION:
+        raise SchemaError(
+            f"{where}: schema_version {version}, expected "
+            f"{STAGEBENCH_SCHEMA_VERSION}; re-record the file"
+        )
     _require(doc, "quick", bool, where)
     for key in ("n", "sigma", "period", "max_period", "repeats",
                 "hardware_threads"):
@@ -83,7 +86,7 @@ def lint_stagebench(doc, where):
     _require(doc, "threshold", NUMBER, where)
     for key in ("arch", "cpu_model", "simd_detected", "cycle_counter"):
         _require(doc, key, str, where)
-    _require(doc, SIMD_SPEEDUP_FIELD[version], NUMBER, where)
+    _require(doc, SIMD_SPEEDUP_FIELD, NUMBER, where)
     stages = _require(doc, "stages", list, where)
     if not stages:
         raise SchemaError(f"{where}: 'stages' is empty")
@@ -106,7 +109,7 @@ def lint_stagebench(doc, where):
         for sample in samples:
             if not isinstance(sample, NUMBER):
                 raise SchemaError(f"{swhere}: non-numeric sample")
-        if stage["stage"] == "stage1_match_counts":
+        if stage["stage"] == SIMD_SPEEDUP_STAGE:
             lint_stage1_paths(stage, doc["sigma"], swhere)
 
 
@@ -193,30 +196,29 @@ def check_host_compatible(baseline, current, params):
 
 
 def check_stagebench_within_run(current, args):
-    """Baseline-free check: on any host with a vector kernel, the stage
-    that dispatches on SIMD (stage 1 since schema 3) must not lose to
+    """Baseline-free check: on any host with a vector kernel, stage 1's
+    lag words (the stage that dispatches on SIMD) must not lose to
     scalar. Runs even when the cross-host comparison is refused, so CI
     keeps this gate on runners the baseline does not match. Skipped on
     scalar-only hosts, where the reported speedup is trivially 1.0
     against itself."""
     failures = []
-    field = SIMD_SPEEDUP_FIELD[current["schema_version"]]
-    stage = SIMD_SPEEDUP_STAGE[current["schema_version"]]
-    kernels = {s["kernel"] for s in current["stages"] if s["stage"] == stage}
+    kernels = {s["kernel"] for s in current["stages"]
+               if s["stage"] == SIMD_SPEEDUP_STAGE}
     if len(kernels) > 1:
-        speedup = current[field]
+        speedup = current[SIMD_SPEEDUP_FIELD]
         verdict = "ok" if speedup >= args.min_simd_speedup else "REGRESSED"
         print(
-            f"  {field} {speedup:.3f} "
+            f"  {SIMD_SPEEDUP_FIELD} {speedup:.3f} "
             f"(minimum {args.min_simd_speedup:.3f}): {verdict}"
         )
         if speedup < args.min_simd_speedup:
             failures.append(
-                f"{field} {speedup:.3f} below required "
+                f"{SIMD_SPEEDUP_FIELD} {speedup:.3f} below required "
                 f"{args.min_simd_speedup:.3f}"
             )
     else:
-        print(f"  note: single {stage} kernel on this host; "
+        print(f"  note: single {SIMD_SPEEDUP_STAGE} kernel on this host; "
               "SIMD speedup check skipped")
     return failures
 
@@ -246,33 +248,26 @@ def check_stagebench(baseline, current, args):
     }
     for key, base_min in sorted(base_stages.items()):
         stage, kernel = key
-        compared = key
-        if key not in cur_stages and (stage, "default") in cur_stages:
-            # The stage stopped dispatching on SIMD: its one row is held to
-            # the baseline of every kernel it replaced.
-            compared = (stage, "default")
-        if compared not in cur_stages:
+        if key not in cur_stages:
             failures.append(
                 f"stage {stage} [{kernel}]: present in baseline but "
                 f"missing from the current run"
             )
             continue
-        cur_min = cur_stages[compared]
+        cur_min = cur_stages[key]
         limit = base_min * (1.0 + args.max_regress)
         verdict = "ok" if cur_min <= limit else "REGRESSED"
-        label = kernel if compared == key else f"{kernel}->default"
         print(
-            f"  {stage:<22} [{label:<7}] baseline {base_min:9.3f} ms, "
+            f"  {stage:<22} [{kernel:<7}] baseline {base_min:9.3f} ms, "
             f"current {cur_min:9.3f} ms (limit {limit:9.3f}): {verdict}"
         )
         if cur_min > limit:
             failures.append(
-                f"stage {stage} [{label}]: {cur_min:.3f} ms vs baseline "
+                f"stage {stage} [{kernel}]: {cur_min:.3f} ms vs baseline "
                 f"{base_min:.3f} ms exceeds +{args.max_regress:.0%}"
             )
     for key in sorted(set(cur_stages) - set(base_stages)):
-        if not any(k[0] == key[0] for k in base_stages):
-            print(f"  note: stage {key[0]} [{key[1]}] is new (no baseline)")
+        print(f"  note: stage {key[0]} [{key[1]}] is new (no baseline)")
     return failures
 
 
@@ -361,8 +356,7 @@ def cmd_check(args):
     return 0
 
 
-def _seed_stagebench(version=3, stage2_ms=10.0, scalar_ms=100.0,
-                     simd_ms=20.0):
+def _seed_stagebench(stage2_ms=10.0, scalar_ms=100.0, simd_ms=20.0):
     """A minimal valid stagebench record for the self-test."""
     def row(stage, kernel, ms, **extra):
         return dict(stage=stage, kernel=kernel, cycles_min=1,
@@ -370,21 +364,17 @@ def _seed_stagebench(version=3, stage2_ms=10.0, scalar_ms=100.0,
                     samples_ms=[ms], **extra)
 
     paths = dict(crossover_lags=1, paths=["lag_words"])
-    doc = dict(bench="stagebench", schema_version=version, quick=True, n=64,
-               sigma=1, period=2, max_period=8, threshold=0.3, repeats=1,
+    doc = dict(bench="stagebench", schema_version=STAGEBENCH_SCHEMA_VERSION,
+               quick=True, n=64, sigma=1, period=2, max_period=8,
+               threshold=0.3, repeats=1,
                hardware_threads=4, arch="x86_64", cpu_model="seed",
                simd_detected="avx2", cycle_counter="rdtsc")
-    doc[SIMD_SPEEDUP_FIELD[version]] = scalar_ms / simd_ms
+    doc[SIMD_SPEEDUP_FIELD] = scalar_ms / simd_ms
     doc["stages"] = [
-        row("stage1_match_counts", "scalar", scalar_ms, **paths),
-        row("stage1_match_counts", "avx2", simd_ms, **paths),
+        row(SIMD_SPEEDUP_STAGE, "scalar", scalar_ms, **paths),
+        row(SIMD_SPEEDUP_STAGE, "avx2", simd_ms, **paths),
+        row("stage2_phase_refine", "default", stage2_ms),
     ]
-    if version == 2:
-        doc["stages"] += [row("stage2_phase_refine", "scalar", stage2_ms),
-                          row("stage2_phase_refine", "avx2", stage2_ms)]
-    else:
-        doc["stages"].append(
-            row("stage2_phase_refine", "default", stage2_ms))
     return doc
 
 
@@ -413,32 +403,24 @@ def cmd_self_test(_args):
         except Refused:
             return False
 
-    for version in SIMD_SPEEDUP_FIELD:
-        expect(f"schema {version} record lints clean",
-               not lint_fails(_seed_stagebench(version)))
-        broken = _seed_stagebench(version)
-        del broken[SIMD_SPEEDUP_FIELD[version]]
-        expect(f"schema {version} without {SIMD_SPEEDUP_FIELD[version]} "
-               "is rejected", lint_fails(broken))
-    expect("unknown schema_version is rejected",
-           lint_fails(_seed_stagebench(3) | dict(schema_version=1)))
-    wrong_paths = _seed_stagebench(3)
+    expect("a valid record lints clean", not lint_fails(_seed_stagebench()))
+    broken = _seed_stagebench()
+    del broken[SIMD_SPEEDUP_FIELD]
+    expect(f"a record without {SIMD_SPEEDUP_FIELD} is rejected",
+           lint_fails(broken))
+    expect("an older schema_version is rejected",
+           lint_fails(_seed_stagebench() | dict(schema_version=2)))
+    wrong_paths = _seed_stagebench()
     wrong_paths["stages"][0]["paths"] = []
     expect("stage-1 row without a path per symbol is rejected",
            lint_fails(wrong_paths))
     expect("unchanged record passes the check",
-           not check_fails(_seed_stagebench(3), _seed_stagebench(3)))
+           not check_fails(_seed_stagebench(), _seed_stagebench()))
     expect("a stage 30% slower fails the check",
-           check_fails(_seed_stagebench(3),
-                       _seed_stagebench(3, stage2_ms=13.0)))
-    expect("a default row is held to every kernel row it replaced",
-           check_fails(_seed_stagebench(2, stage2_ms=10.0),
-                       _seed_stagebench(3, stage2_ms=13.0))
-           and not check_fails(_seed_stagebench(2, stage2_ms=10.0),
-                               _seed_stagebench(3, stage2_ms=12.0)))
+           check_fails(_seed_stagebench(), _seed_stagebench(stage2_ms=13.0)))
     expect("a vector kernel losing to scalar fails the within-run check",
            bool(check_stagebench_within_run(
-               _seed_stagebench(3, scalar_ms=100.0, simd_ms=110.0), gate)))
+               _seed_stagebench(scalar_ms=100.0, simd_ms=110.0), gate)))
     if dead:
         print(f"perf_gate self-test: {len(dead)} dead rule(s)",
               file=sys.stderr)
