@@ -1,6 +1,7 @@
 // Per-stage performance harness for the mining pipeline: times the hot
 // stages separately — indicator construction, stage-1 per-symbol match
-// counts (once per available SIMD kernel) and stage-2 phase refinement,
+// counts (as Mine() computes them, plus the lag-word path forced under each
+// available SIMD kernel) and stage-2 phase refinement,
 // through the same stage functions Mine() composes (MatchCounts,
 // internal::PrefilterCandidates and PhaseCounts), and the streaming
 // detector's chunked bounded-lag correlator — and, with --json, writes the
@@ -16,13 +17,17 @@
 // then --repeats recorded rounds, each timing every stage once, so each
 // row's samples span the whole run; the JSON keeps every wall-clock sample
 // plus min/mean/max and the minimum cycle count (util::CycleCount — see
-// "cycle_counter" in the output for the unit). Stage 1 runs once per
-// kernel available on this host via the ScopedSimdKernelOverride test hook,
-// records which path (lag words or FFT, core/stage1.h) each symbol took
-// under that kernel and the kernel's crossover lag count, asserts every
-// kernel produced the same counts, and reports its scalar-vs-best ratio as
-// "stage1_simd_speedup". Stage 2 does not dispatch on a kernel: it runs
-// once, as Mine() does, keeping only the phases that pass --threshold.
+// "cycle_counter" in the output for the unit). Stage 1 gets one row for the
+// work Mine() does ("stage1_match_counts", under the active kernel), which
+// records the path (pairs, lag words or FFT, core/stage1.h) each symbol
+// took and the kernel's lag-word/FFT crossover, and one row per kernel
+// available on this host ("stage1_lag_words", via the
+// ScopedSimdKernelOverride test hook) that forces the lag-word path for
+// every symbol — the one stage-1 path that dispatches on SIMD. Every row
+// must produce the same counts, and the lag-word rows' scalar-vs-best ratio
+// is reported as "stage1_simd_speedup". Stage 2 does not dispatch on a
+// kernel: it runs once, as Mine() does, keeping only the phases that pass
+// --threshold.
 //
 // JSON schema: documented in bench/README.md ("BENCH_stages.json").
 
@@ -95,7 +100,8 @@ struct StageResult {
   std::string kernel;  // "default" when the stage does not dispatch on SIMD
   std::vector<double> samples_ms;
   std::uint64_t cycles_min = 0;
-  /// Stage 1 only: the path each symbol took and the kernel's crossover.
+  /// The stage-1 [default] row only: the path each symbol took and the
+  /// lag-word/FFT crossover of the active kernel.
   std::vector<internal::Stage1Path> paths;
   std::size_t crossover_lags = 0;
 
@@ -222,35 +228,44 @@ int Run(int argc, char** argv) {
   // the timed regions).
   const FftConvolutionMiner miner(series);
 
+  // --- Stage 1: per-symbol match counts. --------------------------------
+  // The [default] row is Mine()'s stage 1: MatchCounts picks each symbol's
+  // path under the active kernel. The pair walk does not dispatch on SIMD,
+  // so that row cannot compare kernels; the stage1_lag_words rows force the
+  // lag-word path under each available kernel instead, and every row must
+  // produce the counts the [default] row did.
+  const std::size_t sigma_size = static_cast<std::size_t>(sigma);
+  const std::size_t lags = max_lag + 1;
+  std::vector<std::vector<std::uint64_t>> match_counts(sigma_size);
+  std::vector<internal::Stage1Path> paths(sigma_size);
+  const std::size_t stage1_row = stages.size();
+  AddStage(stages, "stage1_match_counts", "default", [&] {
+    for (std::size_t k = 0; k < sigma_size; ++k) {
+      match_counts[k] =
+          miner.MatchCounts(static_cast<SymbolId>(k), max_lag, &paths[k]);
+    }
+  });
+
+  std::vector<DynamicBitset> indicators(sigma_size, DynamicBitset(length));
+  for (std::size_t i = 0; i < length; ++i) indicators[series[i]].Set(i);
   int num_kernels = 0;
   const util::SimdKernel* kernels = util::AvailableSimdKernels(&num_kernels);
-
-  // --- Stage 1: per-symbol match counts, once per available SIMD kernel. --
-  // The kernel decides the path (lag words or FFT) as well as the word
-  // loop's speed, so each kernel gets its own row; every kernel must
-  // produce the counts the first one did.
-  const std::size_t first_stage1 = stages.size();
+  const std::size_t first_lag_words = stages.size();
   std::vector<std::vector<std::vector<std::uint64_t>>> kernel_counts(
       static_cast<std::size_t>(num_kernels),
-      std::vector<std::vector<std::uint64_t>>(static_cast<std::size_t>(sigma)));
-  std::vector<std::vector<internal::Stage1Path>> kernel_paths(
-      kernel_counts.size(),
-      std::vector<internal::Stage1Path>(static_cast<std::size_t>(sigma)));
+      std::vector<std::vector<std::uint64_t>>(sigma_size));
   for (std::size_t ki = 0; ki < kernel_counts.size(); ++ki) {
     const util::SimdKernel kernel = kernels[ki];
     std::vector<std::vector<std::uint64_t>>& counts = kernel_counts[ki];
-    std::vector<internal::Stage1Path>& paths = kernel_paths[ki];
-    AddStage(stages, "stage1_match_counts", util::SimdKernelName(kernel),
+    AddStage(stages, "stage1_lag_words", util::SimdKernelName(kernel),
              [&, kernel] {
                const util::ScopedSimdKernelOverride forced(kernel);
                for (std::size_t k = 0; k < counts.size(); ++k) {
-                 counts[k] = miner.MatchCounts(static_cast<SymbolId>(k),
-                                               max_lag, &paths[k]);
+                 counts[k] = internal::Stage1MatchCounts(
+                     indicators[k], lags, internal::Stage1Path::kLagWords);
                }
              });
   }
-  const std::vector<std::vector<std::uint64_t>>& match_counts =
-      kernel_counts.front();
 
   // Candidate derivation: Mine()'s own pre-filter at --threshold (default
   // min_period and min_pairs), so stage 2 below refines the same
@@ -309,22 +324,26 @@ int Run(int argc, char** argv) {
 
   std::vector<StageResult> results;
   for (Stage& stage : stages) results.push_back(std::move(stage.result));
+  StageResult& stage1 = results[stage1_row];
+  stage1.paths = paths;
+  stage1.crossover_lags =
+      internal::Stage1CrossoverLags(length, util::ActiveSimdKernel());
   double stage1_scalar_min_ms = 0.0;
   double stage1_best_min_ms = 0.0;
   for (std::size_t ki = 0; ki < kernel_counts.size(); ++ki) {
     const util::SimdKernel kernel = kernels[ki];
-    PERIODICA_CHECK(kernel_counts[ki] == match_counts)
-        << "kernel " << util::SimdKernelName(kernel)
-        << " produced different stage-1 counts than "
-        << util::SimdKernelName(kernels[0]);
-    StageResult& timed = results[first_stage1 + ki];
-    timed.paths = std::move(kernel_paths[ki]);
-    timed.crossover_lags = internal::Stage1CrossoverLags(length, kernel);
+    for (std::size_t k = 0; k < sigma_size; ++k) {
+      PERIODICA_CHECK(kernel_counts[ki][k] == match_counts[k])
+          << "forced lag words under " << util::SimdKernelName(kernel)
+          << " gave symbol " << k << " different stage-1 counts than the "
+          << internal::Stage1PathName(paths[k]) << " path";
+    }
+    const double min_ms = results[first_lag_words + ki].MinMs();
     if (kernel == util::SimdKernel::kScalar) {
-      stage1_scalar_min_ms = timed.MinMs();
-      if (stage1_best_min_ms == 0.0) stage1_best_min_ms = timed.MinMs();
+      stage1_scalar_min_ms = min_ms;
+      if (stage1_best_min_ms == 0.0) stage1_best_min_ms = min_ms;
     } else {
-      stage1_best_min_ms = timed.MinMs();
+      stage1_best_min_ms = min_ms;
     }
   }
   const double stage1_simd_speedup =
@@ -334,22 +353,24 @@ int Run(int argc, char** argv) {
   TextTable table({"Stage", "Kernel", "Min (ms)", "Mean (ms)", "Max (ms)",
                    "Stage-1 paths"});
   for (const StageResult& result : results) {
-    std::string paths;
+    std::ostringstream paths;
     if (!result.paths.empty()) {
-      const auto words = static_cast<std::size_t>(
-          std::count(result.paths.begin(), result.paths.end(),
-                     internal::Stage1Path::kLagWords));
-      paths = std::to_string(words) + " lag_words, " +
-              std::to_string(result.paths.size() - words) + " fft (" +
-              std::to_string(max_lag + 1) + " lags, crossover " +
-              std::to_string(result.crossover_lags) + ")";
+      for (const internal::Stage1Path path :
+           {internal::Stage1Path::kPairs, internal::Stage1Path::kLagWords,
+            internal::Stage1Path::kFft}) {
+        paths << std::count(result.paths.begin(), result.paths.end(), path)
+              << " " << internal::Stage1PathName(path)
+              << (path == internal::Stage1Path::kFft ? " " : ", ");
+      }
+      paths << "(" << lags << " lags, crossover " << result.crossover_lags
+            << ")";
     }
     table.AddRow({result.stage, result.kernel, FormatMs(result.MinMs()),
                   FormatMs(result.MeanMs()), FormatMs(result.MaxMs()),
-                  paths});
+                  paths.str()});
   }
   table.Print(std::cout);
-  std::cout << "\nstage-1 SIMD speedup over scalar (min/min): "
+  std::cout << "\nstage-1 lag-word SIMD speedup over scalar (min/min): "
             << FormatDouble(stage1_simd_speedup, 2) << "x\n"
             << "stage 2: " << candidates.size() << " candidates refined, "
             << stage2_kept << " phases kept (checksum " << stage2_checksum
@@ -363,7 +384,7 @@ int Run(int argc, char** argv) {
     }
     out << "{\n"
         << "  \"bench\": \"stagebench\",\n"
-        << "  \"schema_version\": 3,\n"
+        << "  \"schema_version\": 4,\n"
         << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
         << "  \"n\": " << length << ",\n"
         << "  \"sigma\": " << sigma << ",\n"

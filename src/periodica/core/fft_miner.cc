@@ -116,11 +116,10 @@ std::vector<std::uint64_t> FftConvolutionMiner::MatchCounts(
     SymbolId symbol, std::size_t max_period, internal::Stage1Path* path) const {
   PERIODICA_CHECK_LT(static_cast<std::size_t>(symbol), indicators_.size());
   const std::size_t lags = n_ == 0 ? 0 : std::min(max_period, n_ - 1) + 1;
+  const DynamicBitset& indicator = indicators_[symbol];
   return internal::Stage1MatchCounts(
-      indicators_[symbol], lags,
-      internal::Stage1UsesLagWords(n_, lags, util::ActiveSimdKernel())
-          ? internal::Stage1Path::kLagWords
-          : internal::Stage1Path::kFft,
+      indicator, lags,
+      internal::Stage1ChoosePath(indicator, lags, util::ActiveSimdKernel()),
       path);
 }
 
@@ -190,27 +189,33 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
   util::ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
 
   // Stage 1: per-symbol match counts — one independent autocorrelation per
-  // symbol (lag words or FFT, core/stage1.h), run across the pool — followed
-  // by the lossless aggregate pre-filter, applied sequentially in symbol
-  // order. Each task reserves its scratch first (none on the word path); a
-  // task that cannot reserve records the failure in its own slot (the first
-  // one, by symbol order, wins below — deterministic at every thread count)
-  // and computes nothing.
-  const std::size_t stage1_scratch_bytes =
-      internal::Stage1ScratchBytes(n_, max_period);
+  // symbol (pairs, lag words or FFT, core/stage1.h), run across the pool —
+  // followed by the lossless aggregate pre-filter, applied sequentially in
+  // symbol order. Each task picks its symbol's path, then reserves that
+  // path's scratch before allocating it (the pair walk's position list, the
+  // FFT's buffers, none on the word path); a task that cannot reserve
+  // records the failure in its own slot (the first one, by symbol order,
+  // wins below — deterministic at every thread count) and computes nothing.
+  const std::size_t lags = max_period + 1;
+  const util::SimdKernel kernel = util::ActiveSimdKernel();
   std::vector<Status> task_errors(indicators_.size(), Status::OK());
   std::vector<std::vector<std::uint64_t>> match_counts(indicators_.size());
   PERIODICA_CHECK_OK(util::ParallelFor(
       pool_ptr, indicators_.size(), [&](std::size_t k) {
-        if (indicators_[k].Count() == 0) return;
+        const DynamicBitset& indicator = indicators_[k];
+        const std::size_t set_bits = indicator.Count();
+        if (set_bits == 0) return;
+        const internal::Stage1Path path =
+            internal::Stage1ChoosePath(indicator, lags, kernel);
         internal::ScopedMiningCharge scratch(&budget);
-        if (Status status =
-                scratch.Acquire(stage1_scratch_bytes, "mine: stage-1 scratch");
+        if (Status status = scratch.Acquire(
+                internal::Stage1ScratchBytes(path, n_, set_bits),
+                "mine: stage-1 scratch");
             !status.ok()) {
           task_errors[k] = std::move(status);
           return;
         }
-        match_counts[k] = MatchCounts(static_cast<SymbolId>(k), max_period);
+        match_counts[k] = internal::Stage1MatchCounts(indicator, lags, path);
       }));
   for (Status& status : task_errors) {
     if (!status.ok()) {

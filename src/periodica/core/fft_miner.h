@@ -24,7 +24,9 @@ namespace periodica {
 /// at once — O(sigma * n log n), after a single pass over the input that
 /// builds the indicator vectors. When max_period is far below n, the same
 /// counts come cheaper from the convolution's exact bitset form, one
-/// shifted AND-popcount per lag (core/stage1.h picks the path per call).
+/// shifted AND-popcount per lag, and for a rare symbol cheaper still from
+/// its position pairs within max_period (core/stage1.h picks the path per
+/// symbol).
 ///
 /// Detection then proceeds in two stages, each a named function that Mine
 /// composes (and bench/stagebench times):
@@ -85,10 +87,11 @@ class FftConvolutionMiner {
   [[nodiscard]] SymbolSeries ToSeries() const;
 
   /// Match counts |W_{p,k}| for symbol k at every lag p in [0, max_period]
-  /// (exposed for the ablation benches and tests). Computed on the word path
-  /// or the certified FFT path, whichever internal::Stage1UsesLagWords
-  /// predicts cheaper for the active SIMD kernel; both give the same exact
-  /// integers. `path`, when not null, receives the path that produced them.
+  /// (exposed for the ablation benches and tests). Computed on the pair
+  /// walk, the word path or the certified FFT path, whichever
+  /// internal::Stage1ChoosePath predicts cheapest for this symbol under the
+  /// active SIMD kernel; all three give the same exact integers. `path`,
+  /// when not null, receives the path that produced them.
   [[nodiscard]] std::vector<std::uint64_t> MatchCounts(
       SymbolId symbol, std::size_t max_period,
       internal::Stage1Path* path = nullptr) const;

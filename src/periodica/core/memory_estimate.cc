@@ -32,9 +32,15 @@ std::size_t DirectFftScratchBytes(std::size_t n) {
 
 namespace internal {
 
-std::size_t Stage1ScratchBytes(std::size_t n, std::size_t max_period) {
-  if (Stage1UsesLagWords(n, max_period + 1, util::ActiveSimdKernel())) {
-    return 0;
+std::size_t Stage1ScratchBytes(Stage1Path path, std::size_t n,
+                               std::size_t set_bits) {
+  switch (path) {
+    case Stage1Path::kPairs:
+      return 4 * set_bits;  // the uint32 position list
+    case Stage1Path::kLagWords:
+      return 0;
+    case Stage1Path::kFft:
+      return DirectFftScratchBytes(n);
   }
   return DirectFftScratchBytes(n);
 }
@@ -112,9 +118,18 @@ MineMemoryEstimate EstimateMineMemory(std::size_t n, std::size_t sigma,
         std::min<std::size_t>(threads, std::max<std::size_t>(sigma, 1));
     estimate.workers = workers;
     estimate.counts_bytes = sigma * (max_period + 1) * 8;
-    const std::size_t per_task = internal::Stage1ScratchBytes(n, max_period);
-    estimate.lag_words = per_task == 0;
-    estimate.stage1_scratch_bytes = per_task * workers;
+    // The path is chosen per symbol from its data, which the estimate cannot
+    // see. Each symbol takes the pair walk (at most n set bits) or the
+    // data-independent choice between lag words and the FFT, so the larger
+    // of those two scratches bounds every task: the FFT's where that choice
+    // allows the FFT, else the pair walk's 4n bytes.
+    estimate.stage1_path =
+        internal::Stage1UsesLagWords(n, max_period + 1,
+                                     util::ActiveSimdKernel())
+            ? internal::Stage1Path::kPairs
+            : internal::Stage1Path::kFft;
+    estimate.stage1_scratch_bytes =
+        internal::Stage1ScratchBytes(estimate.stage1_path, n, n) * workers;
     if (options.positions) {
       // Stage 2 runs one task per period group, not per symbol, so its
       // concurrency is the window over the whole pool, not min(threads,
@@ -143,9 +158,12 @@ std::string MineMemoryEstimate::ToString() const {
   if (counts_bytes != 0) {
     out += ", counts " + util::FormatBytes(counts_bytes);
   }
-  out += ", fft " + util::FormatBytes(stage1_scratch_bytes) +
-         (lag_words ? " lag-words" : " direct") +
-         " x" + std::to_string(workers) + " workers";
+  const char* path = stage1_path == internal::Stage1Path::kPairs ? " pairs"
+                     : stage1_path == internal::Stage1Path::kLagWords
+                         ? " lag-words"
+                         : " direct";
+  out += ", fft " + util::FormatBytes(stage1_scratch_bytes) + path + " x" +
+         std::to_string(workers) + " workers";
   if (stage2_scratch_bytes != 0) {
     out += ", phase-split " + util::FormatBytes(stage2_scratch_bytes);
   }

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "periodica/core/options.h"
+#include "periodica/core/stage1.h"
 
 namespace periodica {
 
@@ -17,8 +18,9 @@ namespace periodica {
 /// request's in-flight state.
 ///
 /// The numbers are upper bounds on the dominant allocations (indicator
-/// bitsets, FFT scratch, phase-split buffers, stored entries), path-aware:
-/// the stage-1 word path (core/stage1.h) needs no FFT scratch, and
+/// bitsets, stage-1 scratch, phase-split buffers, stored entries),
+/// path-aware: below the lag-word/FFT crossover (core/stage1.h) stage 1
+/// needs at most the pair walk's position list, not the FFT's buffers, and
 /// periods-only mode drops the stage-2 terms entirely. Control-block
 /// overhead is not modeled;
 /// docs/SERVING.md derives the capacity-planning formula from these terms.
@@ -29,8 +31,8 @@ struct MineMemoryEstimate {
   /// Aggregate match-count vectors, sigma * (max_period + 1) u64s. Live
   /// from stage 1 until the call returns.
   std::size_t counts_bytes = 0;
-  /// Stage-1 FFT scratch: per-worker transform buffers (zero on the word
-  /// path).
+  /// Stage-1 scratch: per-worker bound of the assumed path's buffers (the
+  /// FFT's transform buffers, or the pair walk's 4n-byte position list).
   std::size_t stage1_scratch_bytes = 0;
   /// Stage-2 phase-split scratch (positions mode only): the worst-case
   /// bit-planes and passing per-phase counts of one period group
@@ -40,10 +42,11 @@ struct MineMemoryEstimate {
   /// Detailed entry storage cap: max_entries * sizeof(SymbolPeriodicity)
   /// (positions mode only; summaries are negligible).
   std::size_t entry_bytes = 0;
-  /// True when the stage-1 word path (shifted AND-popcount per lag) was
-  /// assumed.
-  bool lag_words = false;
-  /// Concurrent stage-1 workers the FFT scratch was multiplied by.
+  /// The stage-1 path whose scratch bounds every symbol's: kPairs below the
+  /// lag-word/FFT crossover (a symbol there takes the pair walk or the
+  /// scratch-free word path), kFft above it.
+  internal::Stage1Path stage1_path = internal::Stage1Path::kFft;
+  /// Concurrent stage-1 workers the stage-1 scratch was multiplied by.
   std::size_t workers = 1;
 
   /// Allocations held for the whole call: indicators + counts.
@@ -76,11 +79,11 @@ namespace internal {
 /// These per-stage terms are shared with the engines' mid-flight budget
 /// charges, so what the estimate predicts is exactly what Mine reserves.
 ///
-/// Per-task stage-1 scratch of the FFT engine for lags 0..max_period
-/// (max_period < n): none when Stage1UsesLagWords picks the word path for
-/// the active SIMD kernel, else the direct FFT's.
-[[nodiscard]] std::size_t Stage1ScratchBytes(std::size_t n,
-                                             std::size_t max_period);
+/// Stage-1 scratch of one symbol with `set_bits` set bits of a length-`n`
+/// indicator on `path`: 4 * set_bits for the pair walk's position list,
+/// none on the word path, the direct FFT's buffers on the FFT path.
+[[nodiscard]] std::size_t Stage1ScratchBytes(Stage1Path path, std::size_t n,
+                                             std::size_t set_bits);
 /// Worst-case scratch of one period of the exact engine (stage 2 of the
 /// FFT engine has its own terms, core/stage2.h).
 [[nodiscard]] std::size_t ExactPeriodScratchBytes(std::size_t n);

@@ -1,9 +1,6 @@
 #include "periodica/fft/convolution.h"
 
-#include <cmath>
-
 #include "periodica/fft/fft.h"
-#include "periodica/util/logging.h"
 
 namespace periodica::fft {
 
@@ -78,24 +75,6 @@ std::vector<double> CrossCorrelation(std::span<const double> x,
   std::vector<double> out(y.size());
   for (std::size_t p = 0; p < y.size(); ++p) out[p] = product[p].real();
   return out;
-}
-
-std::vector<std::uint64_t> BinaryAutocorrelation(
-    std::span<const std::uint8_t> indicator) {
-  std::vector<double> as_double(indicator.size());
-  for (std::size_t i = 0; i < indicator.size(); ++i) {
-    PERIODICA_DCHECK(indicator[i] <= 1);
-    as_double[i] = static_cast<double>(indicator[i]);
-  }
-  const std::vector<double> raw = Autocorrelation(as_double);
-  std::vector<std::uint64_t> counts(raw.size());
-  for (std::size_t p = 0; p < raw.size(); ++p) {
-    const long long rounded = std::llround(raw[p]);
-    PERIODICA_DCHECK(std::abs(raw[p] - static_cast<double>(rounded)) < 0.5)
-        << "FFT error too large at lag " << p;
-    counts[p] = rounded < 0 ? 0 : static_cast<std::uint64_t>(rounded);
-  }
-  return counts;
 }
 
 }  // namespace periodica::fft

@@ -1,7 +1,6 @@
 #ifndef PERIODICA_FFT_CONVOLUTION_H_
 #define PERIODICA_FFT_CONVOLUTION_H_
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -24,13 +23,6 @@ namespace periodica::fft {
 /// p = 0..|y|-1 (terms with i+p >= |y| or i >= |x| are dropped).
 [[nodiscard]] std::vector<double> CrossCorrelation(
     std::span<const double> x, std::span<const double> y);
-
-/// Exact integer autocorrelation of a 0/1 indicator vector: rounds the
-/// floating-point autocorrelation to the nearest integer, which is exact as
-/// long as the accumulated FFT error stays below 0.5 (holds for the series
-/// lengths this library targets; verified in tests against direct counting).
-[[nodiscard]] std::vector<std::uint64_t> BinaryAutocorrelation(
-    std::span<const std::uint8_t> indicator);
 
 }  // namespace periodica::fft
 

@@ -126,33 +126,5 @@ INSTANTIATE_TEST_SUITE_P(Sizes, AutocorrelationProperty,
                          ::testing::Values(1, 2, 3, 7, 16, 100, 255, 256,
                                            1000));
 
-TEST(BinaryAutocorrelationTest, CountsMatchesExactly) {
-  // Indicator of a period-3 symbol over 12 positions: {0,3,6,9}.
-  std::vector<std::uint8_t> indicator(12, 0);
-  for (std::size_t i = 0; i < 12; i += 3) indicator[i] = 1;
-  const auto counts = BinaryAutocorrelation(indicator);
-  ASSERT_EQ(counts.size(), 12u);
-  EXPECT_EQ(counts[0], 4u);
-  EXPECT_EQ(counts[3], 3u);
-  EXPECT_EQ(counts[6], 2u);
-  EXPECT_EQ(counts[9], 1u);
-  EXPECT_EQ(counts[1], 0u);
-  EXPECT_EQ(counts[2], 0u);
-}
-
-TEST(BinaryAutocorrelationTest, RandomIndicatorMatchesDirectCount) {
-  Rng rng(77);
-  std::vector<std::uint8_t> indicator(5000);
-  for (auto& bit : indicator) bit = rng.Bernoulli(0.3) ? 1 : 0;
-  const auto counts = BinaryAutocorrelation(indicator);
-  for (const std::size_t p : {0u, 1u, 2u, 50u, 999u, 4999u}) {
-    std::uint64_t expected = 0;
-    for (std::size_t i = 0; i + p < indicator.size(); ++i) {
-      expected += indicator[i] & indicator[i + p];
-    }
-    EXPECT_EQ(counts[p], expected) << "lag " << p;
-  }
-}
-
 }  // namespace
 }  // namespace periodica::fft

@@ -58,17 +58,27 @@ TEST(MemoryEstimateTest, WorkersNeverExceedAlphabet) {
   EXPECT_LE(estimate.workers, 3u);
 }
 
-TEST(MemoryEstimateTest, WordPathChargesNoStage1Scratch) {
-  // max_period 128 of n = 2^20 is far below the crossover: stage 1 runs
-  // shifted AND-popcounts over the indicators and allocates no transform.
+TEST(MemoryEstimateTest, WordSideChargesThePairListNotTheFft) {
+  // max_period 128 of n = 2^20 is far below the lag-word/FFT crossover: a
+  // symbol takes the scratch-free word path or the pair walk, whose
+  // position list (4 bytes per set bit, at most n) bounds every task. No
+  // transform buffer is charged.
   MinerOptions options;
   options.engine = MinerEngine::kFft;
   options.max_period = 128;
   options.num_threads = 4;
   const MineMemoryEstimate estimate = EstimateMineMemory(1u << 20, 4, options);
-  EXPECT_TRUE(estimate.lag_words);
-  EXPECT_EQ(estimate.stage1_scratch_bytes, 0u);
-  EXPECT_NE(estimate.ToString().find("lag-words"), std::string::npos);
+  EXPECT_EQ(estimate.stage1_path, internal::Stage1Path::kPairs);
+  EXPECT_EQ(estimate.stage1_scratch_bytes, 4u * (1u << 20) * 4u);
+  EXPECT_LT(estimate.stage1_scratch_bytes / estimate.workers,
+            internal::Stage1ScratchBytes(internal::Stage1Path::kFft, 1u << 20,
+                                         0));
+  EXPECT_NE(estimate.ToString().find("pairs"), std::string::npos);
+  // Above the crossover the FFT's buffers bound it instead.
+  options.max_period = 0;  // n / 2
+  const MineMemoryEstimate direct = EstimateMineMemory(1u << 20, 4, options);
+  EXPECT_EQ(direct.stage1_path, internal::Stage1Path::kFft);
+  EXPECT_NE(direct.ToString().find("direct"), std::string::npos);
 }
 
 TEST(MemoryEstimateTest, PeriodsOnlyDropsStage2Terms) {
@@ -146,7 +156,7 @@ TEST(MinerBudgetTest, WordPathFitsBelowTheDirectFftScratch) {
   options.positions = false;
   const MineMemoryEstimate estimate =
       EstimateMineMemory(series.size(), 4, options);
-  ASSERT_TRUE(estimate.lag_words);
+  ASSERT_NE(estimate.stage1_path, internal::Stage1Path::kFft);
   options.memory_budget_bytes = estimate.total_bytes();
   ASSERT_LT(options.memory_budget_bytes, 8 * series.size())
       << "the budget must not fit the FFT's input copy alone";
@@ -203,6 +213,40 @@ TEST(MemoryEstimateTest, Stage2TermTracksThePoolHighWater) {
   EXPECT_GE(estimate.total_bytes(), pool.high_water()) << estimate.ToString();
   EXPECT_LT(estimate.total_bytes(), 2 * pool.high_water())
       << estimate.ToString() << " vs high water " << pool.high_water();
+}
+
+TEST(MemoryEstimateTest, SparsePoolCappedAtTheEstimateAdmitsEveryThreadCount) {
+  // Rare symbols over a sizeable alphabet take the pair walk, whose
+  // position list Mine charges per symbol after choosing the path. The
+  // estimate cannot see which symbols do, so its 4n-per-worker term must
+  // cover them at every worker count.
+  SyntheticSpec spec;
+  spec.length = std::size_t{1} << 16;
+  spec.period = 25;
+  spec.alphabet_size = 32;
+  spec.seed = 1;
+  const SymbolSeries series =
+      ApplyNoise(GeneratePerfect(spec).value(),
+                 NoiseSpec::Replacement(0.1, /*seed=*/7))
+          .value();
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    MinerOptions options;
+    options.engine = MinerEngine::kFft;
+    options.max_period = 1024;
+    options.threshold = 0.3;
+    options.num_threads = threads;
+    const MineMemoryEstimate estimate =
+        EstimateMineMemory(series.size(), 32, options);
+    EXPECT_EQ(estimate.stage1_path, internal::Stage1Path::kPairs);
+    util::MemoryBudget pool(estimate.total_bytes());
+    options.memory_budget = &pool;
+    const Result<MiningResult> result = ObscureMiner(options).Mine(series);
+    EXPECT_TRUE(result.ok()) << threads << " threads, estimate "
+                             << estimate.ToString() << ": " << result.status();
+    EXPECT_LE(pool.high_water(), estimate.total_bytes())
+        << threads << " threads";
+    EXPECT_EQ(pool.used(), 0u);
+  }
 }
 
 TEST(MinerBudgetTest, SharedPoolExhaustionFailsMidFlight) {

@@ -64,11 +64,14 @@ def _require(obj, key, types, where):
 NUMBER = (int, float)
 
 
-# The one stage stagebench times per SIMD kernel, and the within-run
-# scalar/best ratio it records for it.
-STAGEBENCH_SCHEMA_VERSION = 3
+# The one stage stagebench times per SIMD kernel (stage 1 forced onto lag
+# words), and the within-run scalar/best ratio it records for it.
+STAGEBENCH_SCHEMA_VERSION = 4
 SIMD_SPEEDUP_FIELD = "stage1_simd_speedup"
-SIMD_SPEEDUP_STAGE = "stage1_match_counts"
+SIMD_SPEEDUP_STAGE = "stage1_lag_words"
+# The row timing stage 1 as Mine() runs it, with the path of every symbol.
+STAGE1_PATHS_STAGE = "stage1_match_counts"
+STAGE1_PATHS = ("pairs", "lag_words", "fft")
 
 
 def lint_stagebench(doc, where):
@@ -109,12 +112,12 @@ def lint_stagebench(doc, where):
         for sample in samples:
             if not isinstance(sample, NUMBER):
                 raise SchemaError(f"{swhere}: non-numeric sample")
-        if stage["stage"] == SIMD_SPEEDUP_STAGE:
+        if stage["stage"] == STAGE1_PATHS_STAGE:
             lint_stage1_paths(stage, doc["sigma"], swhere)
 
 
 def lint_stage1_paths(stage, sigma, where):
-    """Stage-1 rows name the path each symbol took under their kernel."""
+    """The stage-1 row names the path each symbol took."""
     _require(stage, "crossover_lags", int, where)
     paths = _require(stage, "paths", list, where)
     if len(paths) != sigma:
@@ -122,7 +125,7 @@ def lint_stage1_paths(stage, sigma, where):
             f"{where}: {len(paths)} paths but sigma = {sigma}"
         )
     for path in paths:
-        if path not in ("lag_words", "fft"):
+        if path not in STAGE1_PATHS:
             raise SchemaError(f"{where}: unknown stage-1 path {path!r}")
 
 
@@ -196,9 +199,9 @@ def check_host_compatible(baseline, current, params):
 
 
 def check_stagebench_within_run(current, args):
-    """Baseline-free check: on any host with a vector kernel, stage 1's
-    lag words (the stage that dispatches on SIMD) must not lose to
-    scalar. Runs even when the cross-host comparison is refused, so CI
+    """Baseline-free check: on any host with a vector kernel, stage 1
+    forced onto lag words (the one stage-1 path that dispatches on SIMD)
+    must not lose to scalar. Runs even when the cross-host comparison is refused, so CI
     keeps this gate on runners the baseline does not match. Skipped on
     scalar-only hosts, where the reported speedup is trivially 1.0
     against itself."""
@@ -363,16 +366,17 @@ def _seed_stagebench(stage2_ms=10.0, scalar_ms=100.0, simd_ms=20.0):
                     wall_ms=dict(min=ms, mean=ms, max=ms),
                     samples_ms=[ms], **extra)
 
-    paths = dict(crossover_lags=1, paths=["lag_words"])
+    paths = dict(crossover_lags=1, paths=["pairs", "lag_words"])
     doc = dict(bench="stagebench", schema_version=STAGEBENCH_SCHEMA_VERSION,
-               quick=True, n=64, sigma=1, period=2, max_period=8,
+               quick=True, n=64, sigma=2, period=2, max_period=8,
                threshold=0.3, repeats=1,
                hardware_threads=4, arch="x86_64", cpu_model="seed",
                simd_detected="avx2", cycle_counter="rdtsc")
     doc[SIMD_SPEEDUP_FIELD] = scalar_ms / simd_ms
     doc["stages"] = [
-        row(SIMD_SPEEDUP_STAGE, "scalar", scalar_ms, **paths),
-        row(SIMD_SPEEDUP_STAGE, "avx2", simd_ms, **paths),
+        row(STAGE1_PATHS_STAGE, "default", simd_ms / 4, **paths),
+        row(SIMD_SPEEDUP_STAGE, "scalar", scalar_ms),
+        row(SIMD_SPEEDUP_STAGE, "avx2", simd_ms),
         row("stage2_phase_refine", "default", stage2_ms),
     ]
     return doc
@@ -409,11 +413,19 @@ def cmd_self_test(_args):
     expect(f"a record without {SIMD_SPEEDUP_FIELD} is rejected",
            lint_fails(broken))
     expect("an older schema_version is rejected",
-           lint_fails(_seed_stagebench() | dict(schema_version=2)))
+           lint_fails(_seed_stagebench() | dict(schema_version=3)))
     wrong_paths = _seed_stagebench()
     wrong_paths["stages"][0]["paths"] = []
     expect("stage-1 row without a path per symbol is rejected",
            lint_fails(wrong_paths))
+    for path in STAGE1_PATHS:
+        named = _seed_stagebench()
+        named["stages"][0]["paths"] = [path, path]
+        expect(f"a stage-1 row naming {path!r} lints clean",
+               not lint_fails(named))
+    unknown_path = _seed_stagebench()
+    unknown_path["stages"][0]["paths"] = ["pairs", "bogus"]
+    expect("an unknown stage-1 path is rejected", lint_fails(unknown_path))
     expect("unchanged record passes the check",
            not check_fails(_seed_stagebench(), _seed_stagebench()))
     expect("a stage 30% slower fails the check",
