@@ -104,6 +104,7 @@ MineMemoryEstimate EstimateMineMemory(std::size_t n, std::size_t sigma,
 
   estimate.indicator_bytes = sigma * ((n + 63) / 64) * 8;
 
+  estimate.engine = engine;
   if (engine == MinerEngine::kExact) {
     // The exact engine walks one sigma*n-bit mapping (counted as the
     // indicator term) with per-period scratch: matched bit positions + keys
@@ -158,12 +159,16 @@ std::string MineMemoryEstimate::ToString() const {
   if (counts_bytes != 0) {
     out += ", counts " + util::FormatBytes(counts_bytes);
   }
-  const char* path = stage1_path == internal::Stage1Path::kPairs ? " pairs"
-                     : stage1_path == internal::Stage1Path::kLagWords
-                         ? " lag-words"
-                         : " direct";
-  out += ", fft " + util::FormatBytes(stage1_scratch_bytes) + path + " x" +
-         std::to_string(workers) + " workers";
+  if (engine == MinerEngine::kExact) {
+    out += ", exact-period " + util::FormatBytes(stage1_scratch_bytes);
+  } else {
+    const char* path = stage1_path == internal::Stage1Path::kPairs ? " pairs"
+                       : stage1_path == internal::Stage1Path::kLagWords
+                           ? " lag-words"
+                           : " direct";
+    out += ", stage1 " + util::FormatBytes(stage1_scratch_bytes) + path +
+           " x" + std::to_string(workers) + " workers";
+  }
   if (stage2_scratch_bytes != 0) {
     out += ", phase-split " + util::FormatBytes(stage2_scratch_bytes);
   }

@@ -33,6 +33,7 @@ struct MineMemoryEstimate {
   std::size_t counts_bytes = 0;
   /// Stage-1 scratch: per-worker bound of the assumed path's buffers (the
   /// FFT's transform buffers, or the pair walk's 4n-byte position list).
+  /// For the exact engine, its per-period scratch instead.
   std::size_t stage1_scratch_bytes = 0;
   /// Stage-2 phase-split scratch (positions mode only): the worst-case
   /// bit-planes and passing per-phase counts of one period group
@@ -48,6 +49,8 @@ struct MineMemoryEstimate {
   internal::Stage1Path stage1_path = internal::Stage1Path::kFft;
   /// Concurrent stage-1 workers the stage-1 scratch was multiplied by.
   std::size_t workers = 1;
+  /// The engine the estimate resolved (kAuto never appears here).
+  MinerEngine engine = MinerEngine::kFft;
 
   /// Allocations held for the whole call: indicators + counts.
   [[nodiscard]] std::size_t fixed_bytes() const {
@@ -62,8 +65,9 @@ struct MineMemoryEstimate {
   }
 
   /// One-line breakdown for error messages and the stats endpoint, e.g.
-  /// "total 1.53 GiB (indicators 976.56 MiB, counts 4.00 MiB, fft 512.00
-  /// MiB direct x4 workers, phase-split 64.00 MiB, entries 56.00 MiB)".
+  /// "total 1.53 GiB (indicators 976.56 MiB, counts 4.00 MiB, stage1 512.00
+  /// MiB direct x4 workers, phase-split 64.00 MiB, entries 56.00 MiB)"; the
+  /// exact engine's term reads "exact-period <bytes>".
   [[nodiscard]] std::string ToString() const;
 };
 

@@ -1,10 +1,8 @@
 #include "periodica/serve/session_table.h"
 
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
-#include "periodica/core/checkpoint.h"
 #include "periodica/util/logging.h"
 
 namespace periodica::serve {
@@ -54,7 +52,7 @@ struct SessionTable::Session {
   const std::size_t resident_bytes;
 
   util::Mutex mutex;
-  /// Null ⇔ evicted (the state lives in the checkpoint file).
+  /// Null ⇔ evicted (the state lives in the sink's checkpoint).
   std::unique_ptr<StreamingPeriodDetector> detector
       PERIODICA_GUARDED_BY(mutex);
 
@@ -68,10 +66,10 @@ struct SessionTable::Session {
   /// Stream length frozen at eviction, so Close can report a size without
   /// thawing. lint: unguarded(evicted_size): table mutex
   std::size_t evicted_size = 0;
-  /// A durable checkpoint exists — a .pchk file or a store record written
-  /// by eviction, drain or an explicit checkpoint.
-  /// lint: unguarded(has_checkpoint_file): table mutex
-  bool has_checkpoint_file = false;
+  /// The sink holds a checkpoint, written by eviction, drain, an explicit
+  /// checkpoint or read by resume.
+  /// lint: unguarded(has_checkpoint): table mutex
+  bool has_checkpoint = false;
 };
 
 // --- Handle -----------------------------------------------------------------
@@ -142,70 +140,6 @@ bool SessionTable::ValidName(const std::string& name) {
          name.find('@') == std::string::npos;
 }
 
-std::string SessionTable::CheckpointPath(const std::string& tenant,
-                                         const std::string& id) const {
-  if (tenant == "default") {
-    // Pre-tenant layout, so checkpoints written before the tenant field
-    // existed stay resumable (and vice versa).
-    return options_.checkpoint_dir + "/" + id + ".pchk";
-  }
-  return options_.checkpoint_dir + "/" + tenant + "@" + id + ".pchk";
-}
-
-bool SessionTable::CanPersist() const {
-  return options_.store != nullptr || !options_.checkpoint_dir.empty();
-}
-
-std::string SessionTable::PersistLocation(const std::string& tenant,
-                                          const std::string& id) const {
-  if (options_.store != nullptr) {
-    return "store://" + tenant + "/" + id;
-  }
-  return CheckpointPath(tenant, id);
-}
-
-Status SessionTable::PersistCheckpoint(const StreamingPeriodDetector& detector,
-                                       const std::string& tenant,
-                                       const std::string& id) {
-  if (options_.store != nullptr) {
-    PERIODICA_ASSIGN_OR_RETURN(const std::string envelope,
-                               EncodeDetectorCheckpoint(detector));
-    return options_.store->Put(store::JoinKey({"ckpt", tenant, id}),
-                               envelope);
-  }
-  return SaveCheckpoint(detector, CheckpointPath(tenant, id));
-}
-
-Result<StreamingPeriodDetector> SessionTable::LoadPersisted(
-    const std::string& tenant, const std::string& id) {
-  if (options_.store != nullptr) {
-    const std::string key = store::JoinKey({"ckpt", tenant, id});
-    Result<std::string> envelope = options_.store->Get(key);
-    if (envelope.ok()) {
-      return DecodeDetectorCheckpoint(*envelope,
-                                      PersistLocation(tenant, id));
-    }
-    // A key the store never saw may still exist as a pre-store loose file;
-    // anything worse than NotFound (store read fault) is reported as-is.
-    if (!envelope.status().IsNotFound() || options_.checkpoint_dir.empty()) {
-      return envelope.status();
-    }
-  }
-  return LoadDetectorCheckpoint(CheckpointPath(tenant, id));
-}
-
-void SessionTable::DropPersisted(const std::string& tenant,
-                                 const std::string& id) {
-  if (options_.store != nullptr) {
-    const Status dropped =
-        options_.store->Delete(store::JoinKey({"ckpt", tenant, id}));
-    (void)dropped;  // best-effort: a stale record only wastes a resume
-  }
-  if (!options_.checkpoint_dir.empty()) {
-    std::remove(CheckpointPath(tenant, id).c_str());
-  }
-}
-
 SessionTable::Tenant* SessionTable::GetTenantLocked(const std::string& name) {
   const auto it = tenants_.find(name);
   if (it != tenants_.end()) return it->second.get();
@@ -224,32 +158,28 @@ Status SessionTable::ChargeLocked(Tenant* tenant, std::size_t bytes,
   while (true) {
     Status status = tenant->pool.TryReserve(bytes, what);
     if (status.ok()) break;
-    if (!EvictOneLocked(tenant)) {
-      ++tenant->quota_rejections;
-      ++quota_rejections_;
-      if (rejection != nullptr) {
-        rejection->quota_exceeded = true;
-        rejection->retry_after_ms = options_.quota_retry_after_ms;
-        rejection->tenant = tenant->name;
-      }
-      return status;
-    }
+    if (!EvictOneLocked(tenant)) return RejectLocked(tenant, status, rejection);
   }
   while (true) {
     Status status = global_pool_.TryReserve(bytes, what);
     if (status.ok()) return Status::OK();
     if (!EvictOneLocked(nullptr)) {
       tenant->pool.Release(bytes);
-      ++tenant->quota_rejections;
-      ++quota_rejections_;
-      if (rejection != nullptr) {
-        rejection->quota_exceeded = true;
-        rejection->retry_after_ms = options_.quota_retry_after_ms;
-        rejection->tenant = tenant->name;
-      }
-      return status;
+      return RejectLocked(tenant, status, rejection);
     }
   }
+}
+
+Status SessionTable::RejectLocked(Tenant* tenant, Status status,
+                                  Rejection* rejection) {
+  ++tenant->quota_rejections;
+  ++quota_rejections_;
+  if (rejection != nullptr) {
+    rejection->quota_exceeded = true;
+    rejection->retry_after_ms = options_.quota_retry_after_ms;
+    rejection->tenant = tenant->name;
+  }
+  return status;
 }
 
 void SessionTable::ReleaseCharge(Tenant* tenant, std::size_t bytes) {
@@ -303,19 +233,19 @@ bool SessionTable::EvictOneLocked(Tenant* tenant) {
 }
 
 bool SessionTable::EvictSessionLocked(Session* session) {
-  if (!CanPersist()) return false;
+  if (options_.sink == nullptr) return false;
   // pins == 0 (the caller only picks idle victims), so the detector is
   // exclusively ours while we hold the table mutex.
   std::unique_ptr<StreamingPeriodDetector>& detector =
       IdleDetectorLocked(session);
   const Status saved =
-      PersistCheckpoint(*detector, session->tenant, session->id);
+      options_.sink->Put(session->tenant, session->id, *detector);
   if (!saved.ok()) return false;  // stay resident; caller degrades to quota
   const std::size_t size = detector->size();
   detector.reset();
   session->resident = false;
   session->evicted_size = size;
-  session->has_checkpoint_file = true;
+  session->has_checkpoint = true;
   --session->owner->resident;
   ++session->owner->evictions;
   ++evictions_;
@@ -334,15 +264,16 @@ Result<SessionTable::OpenResult> SessionTable::Open(
         "contain no '/', '..' or '@'");
   }
 
-  // Resume loads outside the table mutex (file I/O) and takes its size and
+  // Resume reads the sink outside the table mutex and takes its size and
   // charge figure from the snapshot, not the caller's parameters.
   std::unique_ptr<StreamingPeriodDetector> restored;
   if (resume) {
-    if (!CanPersist()) {
+    if (options_.sink == nullptr) {
       return Status::InvalidArgument(
           "resume requires a checkpoint directory or a durable store");
     }
-    Result<StreamingPeriodDetector> loaded = LoadPersisted(tenant_name, id);
+    Result<StreamingPeriodDetector> loaded =
+        options_.sink->Get(tenant_name, id);
     if (!loaded.ok()) return loaded.status();
     restored = std::make_unique<StreamingPeriodDetector>(
         std::move(loaded.value()));
@@ -357,16 +288,12 @@ Result<SessionTable::OpenResult> SessionTable::Open(
   Tenant* tenant = GetTenantLocked(tenant_name);
   if (options_.max_sessions_per_tenant != 0 &&
       tenant->sessions >= options_.max_sessions_per_tenant) {
-    ++tenant->quota_rejections;
-    ++quota_rejections_;
-    if (rejection != nullptr) {
-      rejection->quota_exceeded = true;
-      rejection->retry_after_ms = options_.quota_retry_after_ms;
-      rejection->tenant = tenant_name;
-    }
-    return Status::ResourceExhausted(
-        "tenant " + tenant_name + " is at its session cap (" +
-        std::to_string(options_.max_sessions_per_tenant) + ")");
+    return RejectLocked(
+        tenant,
+        Status::ResourceExhausted(
+            "tenant " + tenant_name + " is at its session cap (" +
+            std::to_string(options_.max_sessions_per_tenant) + ")"),
+        rejection);
   }
 
   std::size_t bytes;
@@ -400,7 +327,7 @@ Result<SessionTable::OpenResult> SessionTable::Open(
       slab_->New(tenant_name, id, tenant, std::move(detector), bytes);
   session->last_used = ++lru_tick_;
   session->last_used_at = std::chrono::steady_clock::now();
-  if (resume) session->has_checkpoint_file = true;
+  if (resume) session->has_checkpoint = true;
   sessions_.emplace(key, session);
   ++tenant->sessions;
   ++tenant->resident;
@@ -462,8 +389,8 @@ void SessionTable::ReleaseSessionLockFailed(Session* session)
 Status SessionTable::ThawPinned(Session* session, Rejection* rejection) {
   session->mutex.AssertHeld();
   // Charge first (table mutex; may evict others — never this pinned
-  // session), then load outside the table mutex so the file read does not
-  // stall unrelated tenants.
+  // session), then read the sink outside the table mutex so the I/O does
+  // not stall unrelated tenants.
   {
     MutexLock lock(&mutex_);
     if (Status charged =
@@ -475,7 +402,7 @@ Status SessionTable::ThawPinned(Session* session, Rejection* rejection) {
     ++session->owner->resident;
   }
   Result<StreamingPeriodDetector> loaded =
-      LoadPersisted(session->tenant, session->id);
+      options_.sink->Get(session->tenant, session->id);
   if (!loaded.ok()) {
     MutexLock lock(&mutex_);
     session->resident = false;
@@ -526,6 +453,19 @@ void SessionTable::DestroySessionLocked(Session* session) {
 
 Result<SessionTable::CloseResult> SessionTable::Close(
     const std::string& tenant_name, const std::string& id, bool checkpoint) {
+  return Remove(tenant_name, id,
+                checkpoint ? OnRemove::kCheckpoint : OnRemove::kDrop);
+}
+
+Result<SessionTable::CloseResult> SessionTable::Discard(
+    const std::string& tenant_name, const std::string& id) {
+  // Neither a Put nor a Drop: a discarded copy is stale by definition, and
+  // the sink's snapshot may already belong to the session's new owner.
+  return Remove(tenant_name, id, OnRemove::kKeep);
+}
+
+Result<SessionTable::CloseResult> SessionTable::Remove(
+    const std::string& tenant_name, const std::string& id, OnRemove action) {
   Session* session = nullptr;
   {
     MutexLock lock(&mutex_);
@@ -541,16 +481,17 @@ Result<SessionTable::CloseResult> SessionTable::Close(
     --session->owner->sessions;
   }
 
+  const bool checkpoint = action == OnRemove::kCheckpoint;
   CloseResult result;
   Status failure = Status::OK();
   {
     MutexLock lock(&session->mutex);  // waits for an in-flight feed/detect
     if (session->detector != nullptr) {
       result.size = session->detector->size();
-      if (checkpoint && CanPersist()) {
-        failure = PersistCheckpoint(*session->detector, tenant_name, id);
+      if (checkpoint && options_.sink != nullptr) {
+        failure = options_.sink->Put(tenant_name, id, *session->detector);
         if (failure.ok()) {
-          result.checkpoint_path = PersistLocation(tenant_name, id);
+          result.checkpoint_path = options_.sink->Location(tenant_name, id);
         }
       }
     } else {
@@ -559,7 +500,7 @@ Result<SessionTable::CloseResult> SessionTable::Close(
       MutexLock table(&mutex_);
       result.size = session->evicted_size;
       if (checkpoint) {
-        result.checkpoint_path = PersistLocation(tenant_name, id);
+        result.checkpoint_path = options_.sink->Location(tenant_name, id);
       }
     }
   }
@@ -567,45 +508,12 @@ Result<SessionTable::CloseResult> SessionTable::Close(
     // Drop a stale snapshot when the caller declined a checkpoint, so a
     // later resume cannot silently revive out-of-date state.
     MutexLock lock(&mutex_);
-    if (!checkpoint && session->has_checkpoint_file && CanPersist()) {
-      DropPersisted(tenant_name, id);
+    if (action == OnRemove::kDrop && session->has_checkpoint) {
+      options_.sink->Drop(tenant_name, id);
     }
   }
   Unpin(session);
   if (!failure.ok()) return failure;
-  return result;
-}
-
-Result<SessionTable::CloseResult> SessionTable::Discard(
-    const std::string& tenant_name, const std::string& id) {
-  Session* session = nullptr;
-  {
-    MutexLock lock(&mutex_);
-    const auto it = sessions_.find(Key(tenant_name, id));
-    if (it == sessions_.end()) {
-      return Status::NotFound("no open session '" + id + "' (tenant " +
-                              tenant_name + ")");
-    }
-    session = it->second;
-    ++session->pins;  // keeps the block alive while we read the size below
-    session->erased = true;
-    sessions_.erase(it);
-    --session->owner->sessions;
-  }
-  CloseResult result;
-  {
-    MutexLock lock(&session->mutex);  // waits for an in-flight feed/detect
-    if (session->detector != nullptr) {
-      result.size = session->detector->size();
-    } else {
-      MutexLock table(&mutex_);
-      result.size = session->evicted_size;
-    }
-  }
-  // Deliberately no PersistCheckpoint and no DropPersisted: a discarded
-  // copy is stale by definition, and the on-disk snapshot may already
-  // belong to the session's new owner.
-  Unpin(session);
   return result;
 }
 
@@ -617,7 +525,7 @@ std::size_t SessionTable::CheckpointAllForDrain(
   MutexLock lock(&mutex_);
   std::size_t failures = 0;
   for (auto& [key, session] : sessions_) {
-    if (!CanPersist()) {
+    if (options_.sink == nullptr) {
       ++failures;
       if (log != nullptr) {
         std::size_t size = 0;
@@ -640,11 +548,12 @@ std::size_t SessionTable::CheckpointAllForDrain(
       continue;
     }
     if (!session->resident) continue;  // eviction snapshot already current
-    const std::string path = PersistLocation(session->tenant, session->id);
-    const Status saved = PersistCheckpoint(*IdleDetectorLocked(session),
-                                           session->tenant, session->id);
+    const std::string path =
+        options_.sink->Location(session->tenant, session->id);
+    const Status saved = options_.sink->Put(session->tenant, session->id,
+                                            *IdleDetectorLocked(session));
     if (saved.ok()) {
-      session->has_checkpoint_file = true;
+      session->has_checkpoint = true;
       if (log != nullptr) {
         log->push_back("checkpointed session " + session->id + " (tenant " +
                        session->tenant + ") -> " + path);
@@ -664,7 +573,7 @@ Status SessionTable::Checkpoint(const Handle& handle) {
   if (!handle.valid()) {
     return Status::InvalidArgument("Checkpoint: invalid handle");
   }
-  if (!CanPersist()) {
+  if (options_.sink == nullptr) {
     return Status::InvalidArgument(
         "Checkpoint: no checkpoint directory or store configured");
   }
@@ -672,11 +581,11 @@ Status SessionTable::Checkpoint(const Handle& handle) {
   // The handle owns the session mutex, so detector() is stable and the
   // snapshot is consistent; tenant/id are immutable. The table mutex is
   // taken only afterwards (session -> table is the one sanctioned lock
-  // order) to publish has_checkpoint_file.
+  // order) to publish has_checkpoint.
   PERIODICA_RETURN_NOT_OK(
-      PersistCheckpoint(*handle.detector(), session->tenant, session->id));
+      options_.sink->Put(session->tenant, session->id, *handle.detector()));
   MutexLock lock(&mutex_);
-  session->has_checkpoint_file = true;
+  session->has_checkpoint = true;
   return Status::OK();
 }
 

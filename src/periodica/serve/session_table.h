@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "periodica/core/streaming_detector.h"
-#include "periodica/store/kv_store.h"
+#include "periodica/serve/checkpoint_sink.h"
 #include "periodica/util/arena.h"
 #include "periodica/util/memory_budget.h"
 #include "periodica/util/result.h"
@@ -29,11 +29,10 @@ namespace periodica::serve {
 /// plus one global pool.
 ///
 /// Under memory pressure the table *evicts* idle sessions instead of
-/// rejecting work: the victim's detector is checkpointed to
-/// `<checkpoint_dir>/<tenant>@<id>.pchk` (bit-exact core/checkpoint.h
-/// envelope; the default tenant keeps the legacy `<id>.pchk` name) and its
-/// memory is released; the next Acquire *thaws* it transparently from that
-/// file. Victims are chosen LRU-idle — never a pinned session — first
+/// rejecting work: the victim's detector is checkpointed through the
+/// table's CheckpointSink (serve/checkpoint_sink.h) and its memory is
+/// released; the next Acquire *thaws* it transparently from that
+/// checkpoint. Victims are chosen LRU-idle — never a pinned session — first
 /// within the over-budget tenant, and for global pressure fair-share: the
 /// tenant furthest over `global_limit / active_tenants` gives up its
 /// oldest idle session first. Only when nothing is evictable does the
@@ -58,17 +57,11 @@ namespace periodica::serve {
 class SessionTable {
  public:
   struct Options {
-    /// Eviction/resume checkpoint directory; "" disables eviction (quota
-    /// pressure then rejects immediately) and resume — unless `store` is
-    /// set, which provides the same durability through the KvStore instead.
-    std::string checkpoint_dir;
-    /// Durable checkpoint backend (not owned; must outlive the table).
-    /// When set, eviction/drain/close checkpoints are stored under the key
-    /// ("ckpt", tenant, id) — crash-safe WAL semantics instead of loose
-    /// .pchk files — and thaw/resume reads them back bit-identically. A
-    /// non-empty checkpoint_dir then only serves as a read fallback, so
-    /// pre-store loose checkpoints stay resumable (migration path).
-    store::KvStore* store = nullptr;
+    /// Where eviction, close, drain and per-feed checkpoints go, and where
+    /// thaw and resume read them back (not owned; must outlive the table).
+    /// Null disables eviction (quota pressure then rejects immediately),
+    /// resume and drain snapshots.
+    CheckpointSink* sink = nullptr;
     /// Resident-session bytes allowed across all tenants (0 = unlimited).
     std::size_t global_budget_bytes = 0;
     /// Resident-session bytes allowed per tenant (0 = unlimited).
@@ -178,12 +171,12 @@ class SessionTable {
   /// sessions whose checkpoint failed.
   std::size_t CheckpointAllForDrain(std::vector<std::string>* log);
 
-  /// Persists the pinned session's current state through the durable
-  /// backend without closing or unpinning it. This is the per-feed
-  /// durability mode behind `periodicad --checkpoint_each_feed` and the
-  /// write side of live migration: a peer shard sharing the checkpoint
-  /// directory thaws from the snapshot this writes. InvalidArgument when
-  /// the handle is invalid or no durable backend is configured.
+  /// Persists the pinned session's current state through the sink without
+  /// closing or unpinning it. This is the per-feed durability mode behind
+  /// `periodicad --checkpoint_each_feed` and the write side of live
+  /// migration: a peer shard sharing the checkpoint directory thaws from
+  /// the snapshot this writes. InvalidArgument when the handle is invalid
+  /// or the table has no sink.
   Status Checkpoint(const Handle& handle);
 
   [[nodiscard]] Stats GetStats() const;
@@ -192,12 +185,6 @@ class SessionTable {
   /// cheap pre-check only — the answer can change before the caller acts.
   [[nodiscard]] bool Contains(const std::string& tenant,
                               const std::string& id) const;
-
-  /// Where (tenant, id) checkpoints live. Default tenant ("default") keeps
-  /// the pre-tenant `<dir>/<id>.pchk` name so old checkpoints stay
-  /// resumable.
-  [[nodiscard]] std::string CheckpointPath(const std::string& tenant,
-                                           const std::string& id) const;
 
   /// Name rule shared by tenants and session ids: non-empty, no '/', no
   /// "..", at most 200 bytes (names become checkpoint file names).
@@ -248,6 +235,10 @@ class SessionTable {
   /// sessions (tenant-local first, then fair-share globally) as needed.
   Status ChargeLocked(Tenant* tenant, std::size_t bytes,
                       Rejection* rejection) PERIODICA_REQUIRES(mutex_);
+  /// Counts a quota rejection of `tenant`, fills `rejection` when non-null
+  /// and returns `status`.
+  Status RejectLocked(Tenant* tenant, Status status, Rejection* rejection)
+      PERIODICA_REQUIRES(mutex_);
   void ReleaseCharge(Tenant* tenant, std::size_t bytes)
       PERIODICA_REQUIRES(mutex_);
   /// Evicts one idle resident session of `tenant` (nullptr = fair-share
@@ -257,8 +248,8 @@ class SessionTable {
   /// checkpoint write failed (the session stays resident).
   bool EvictSessionLocked(Session* session) PERIODICA_REQUIRES(mutex_);
   /// Restores an evicted, *pinned* session's detector from its checkpoint:
-  /// charges the budgets (table mutex; may evict others), then loads the
-  /// file outside the table mutex. Called with the session mutex held.
+  /// charges the budgets (table mutex; may evict others), then reads the
+  /// sink outside the table mutex. Called with the session mutex held.
   Status ThawPinned(Session* session, Rejection* rejection)
       PERIODICA_EXCLUDES(mutex_);
   /// Takes the session mutex for hand-off to a Handle (escape hatch: the
@@ -269,6 +260,12 @@ class SessionTable {
   /// when no Handle will be constructed.
   void ReleaseSessionLockFailed(Session* session)
       PERIODICA_NO_THREAD_SAFETY_ANALYSIS;
+  /// What removing a session does with its checkpoint: write a fresh one
+  /// (Close with checkpoint), drop the stale one (Close without), or leave
+  /// the sink untouched (Discard).
+  enum class OnRemove { kCheckpoint, kDrop, kKeep };
+  Result<CloseResult> Remove(const std::string& tenant, const std::string& id,
+                             OnRemove action) PERIODICA_EXCLUDES(mutex_);
   /// Unpins; frees the slab slot of an erased session on the last unpin.
   void Unpin(Session* session) PERIODICA_EXCLUDES(mutex_);
   void DestroySessionLocked(Session* session) PERIODICA_REQUIRES(mutex_);
@@ -284,26 +281,6 @@ class SessionTable {
       Session* session) PERIODICA_REQUIRES(mutex_);
   Tenant* GetTenantLocked(const std::string& name)
       PERIODICA_REQUIRES(mutex_);
-  /// True when checkpoints have somewhere durable to go — a store, loose
-  /// files, or both. False disables eviction, resume and drain snapshots.
-  [[nodiscard]] bool CanPersist() const;
-  /// Where Close/drain report (tenant, id)'s checkpoint landed: the store
-  /// key rendered as "store://<tenant>/<id>", or the loose file path.
-  [[nodiscard]] std::string PersistLocation(const std::string& tenant,
-                                            const std::string& id) const;
-  /// Writes `detector`'s checkpoint for (tenant, id) to the durable
-  /// backend: the store under ("ckpt", tenant, id) when configured,
-  /// otherwise an atomically-renamed .pchk file.
-  Status PersistCheckpoint(const StreamingPeriodDetector& detector,
-                           const std::string& tenant, const std::string& id);
-  /// Reads the checkpoint back. Store-backed tables fall back to the loose
-  /// file on store NotFound when a checkpoint_dir is also configured, so
-  /// checkpoints written before the store existed stay resumable.
-  Result<StreamingPeriodDetector> LoadPersisted(const std::string& tenant,
-                                                const std::string& id);
-  /// Best-effort removal of (tenant, id)'s stored and/or filed checkpoint.
-  void DropPersisted(const std::string& tenant, const std::string& id);
-
   const Options options_;  ///< immutable after construction
 
   mutable util::Mutex mutex_;

@@ -32,9 +32,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Bulk kernels.
 //
-// All three shifted-AND implementations share one contract:
+// The shifted-AND kernels share one contract:
 //
-//   result = sum / emit, for w in [0, nw):
+//   result = sum (AND-popcount, one kernel per SIMD flavour) or emit
+//   (collect, scalar only), for w in [0, nw):
 //     a[w] & ShiftedWord(b_lo, off, w)
 //
 // where ShiftedWord reads the 64 bits of b starting `off` bits into word
@@ -43,7 +44,7 @@ namespace {
 // readable when off != 0. The caller (CountAndShifted / CollectAndShifted)
 // chooses nw so that every read stays inside the operand's word storage and
 // no result bit lies at or beyond the count limit — which is why the kernels
-// themselves never mask. The three implementations are bit-for-bit
+// themselves never mask. The popcount kernels are bit-for-bit
 // interchangeable; util::ActiveSimdKernel() only picks the fastest one.
 // ---------------------------------------------------------------------------
 
@@ -193,59 +194,6 @@ __attribute__((target("avx2"))) std::uint64_t Avx2BulkAndPopcount(
   return total;
 }
 
-__attribute__((target("avx2"))) void Avx2BulkAndCollect(
-    const std::uint64_t* a, const std::uint64_t* b_lo, unsigned off,
-    std::size_t nw, std::vector<std::size_t>* out) {
-  // Single pass, like the scalar collect, with the AND words computed four
-  // at a time. Two details matter for speed here: VPTEST skips all-empty
-  // groups without touching the output (on sparse inputs — large periods,
-  // rare symbols — that is most of them), and the nonzero groups hand their
-  // words to the extractor through register moves (VMOVQ/VPEXTRQ) rather
-  // than a store-and-reload buffer, which would stall on store forwarding
-  // at every group.
-  std::size_t sz = out->size();
-  std::size_t cap = out->size();
-  std::size_t w = 0;
-  const __m128i shr = _mm_cvtsi32_si128(static_cast<int>(off));
-  const __m128i shl = _mm_cvtsi32_si128(static_cast<int>(64 - off));
-  for (; w + 4 <= nw; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        off == 0
-            ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b_lo + w))
-            : LoadShifted256(b_lo, w, shr, shl);
-    const __m256i vand = _mm256_and_si256(va, vb);
-    if (_mm256_testz_si256(vand, vand) != 0) continue;
-    // A group appends at most 4 * 64 positions plus the extractor's two
-    // speculative slots; see ScalarBulkAndCollect for the growth policy.
-    if (cap < sz + 258) {
-      cap = std::max<std::size_t>(sz + 258, cap + cap / 2);
-      out->resize(cap);
-    }
-    std::size_t* dst = out->data();
-    const __m128i lo = _mm256_castsi256_si128(vand);
-    const __m128i hi = _mm256_extracti128_si256(vand, 1);
-    sz = ExtractWord(static_cast<std::uint64_t>(_mm_cvtsi128_si64(lo)),
-                     w * 64, dst, sz);
-    sz = ExtractWord(static_cast<std::uint64_t>(_mm_extract_epi64(lo, 1)),
-                     (w + 1) * 64, dst, sz);
-    sz = ExtractWord(static_cast<std::uint64_t>(_mm_cvtsi128_si64(hi)),
-                     (w + 2) * 64, dst, sz);
-    sz = ExtractWord(static_cast<std::uint64_t>(_mm_extract_epi64(hi, 1)),
-                     (w + 3) * 64, dst, sz);
-  }
-  for (; w < nw; ++w) {
-    if (cap < sz + 66) {
-      cap = std::max<std::size_t>(sz + 66, cap + cap / 2);
-      out->resize(cap);
-    }
-    const std::uint64_t word = a[w] & ShiftedWord(b_lo, off, w);
-    sz = ExtractWord(word, w * 64, out->data(), sz);
-  }
-  out->resize(sz);
-}
-
 __attribute__((target("avx2"))) std::uint64_t Avx2BulkCount(
     const std::uint64_t* words, std::size_t nw) {
   __m256i acc = _mm256_setzero_si256();
@@ -308,50 +256,6 @@ std::uint64_t NeonBulkAndPopcount(const std::uint64_t* a,
   return total;
 }
 
-void NeonBulkAndCollect(const std::uint64_t* a, const std::uint64_t* b_lo,
-                        unsigned off, std::size_t nw,
-                        std::vector<std::size_t>* out) {
-  // Same single-pass shape as the AVX2 collect: UMAXV skips all-empty
-  // pairs, nonzero pairs reach the extractor through lane moves rather
-  // than a store-and-reload buffer.
-  std::size_t sz = out->size();
-  std::size_t cap = out->size();
-  std::size_t w = 0;
-  const int64x2_t shr = vdupq_n_s64(-static_cast<std::int64_t>(off));
-  const int64x2_t shl = vdupq_n_s64(static_cast<std::int64_t>(64 - off));
-  for (; w + 2 <= nw; w += 2) {
-    const uint64x2_t va = vld1q_u64(a + w);
-    uint64x2_t vb;
-    if (off == 0) {
-      vb = vld1q_u64(b_lo + w);
-    } else {
-      const uint64x2_t blo = vld1q_u64(b_lo + w);
-      const uint64x2_t bhi = vld1q_u64(b_lo + w + 1);
-      vb = vorrq_u64(vshlq_u64(blo, shr), vshlq_u64(bhi, shl));
-    }
-    const uint64x2_t vand = vandq_u64(va, vb);
-    if (vmaxvq_u32(vreinterpretq_u32_u64(vand)) == 0) continue;
-    // A pair appends at most 2 * 64 positions plus the extractor's two
-    // speculative slots; see ScalarBulkAndCollect for the growth policy.
-    if (cap < sz + 130) {
-      cap = std::max<std::size_t>(sz + 130, cap + cap / 2);
-      out->resize(cap);
-    }
-    std::size_t* dst = out->data();
-    sz = ExtractWord(vgetq_lane_u64(vand, 0), w * 64, dst, sz);
-    sz = ExtractWord(vgetq_lane_u64(vand, 1), (w + 1) * 64, dst, sz);
-  }
-  for (; w < nw; ++w) {
-    if (cap < sz + 66) {
-      cap = std::max<std::size_t>(sz + 66, cap + cap / 2);
-      out->resize(cap);
-    }
-    const std::uint64_t word = a[w] & ShiftedWord(b_lo, off, w);
-    sz = ExtractWord(word, w * 64, out->data(), sz);
-  }
-  out->resize(sz);
-}
-
 std::uint64_t NeonBulkCount(const std::uint64_t* words, std::size_t nw) {
   uint64x2_t acc = vdupq_n_u64(0);
   std::size_t w = 0;
@@ -381,26 +285,6 @@ std::uint64_t DispatchBulkAndPopcount(const std::uint64_t* a,
 #endif
     default:
       return ScalarBulkAndPopcount(a, b_lo, off, nw);
-  }
-}
-
-void DispatchBulkAndCollect(const std::uint64_t* a, const std::uint64_t* b_lo,
-                            unsigned off, std::size_t nw,
-                            std::vector<std::size_t>* out) {
-  switch (util::ActiveSimdKernel()) {
-#if defined(PERIODICA_HAVE_AVX2_KERNELS)
-    case util::SimdKernel::kAvx2:
-      Avx2BulkAndCollect(a, b_lo, off, nw, out);
-      return;
-#endif
-#if defined(PERIODICA_HAVE_NEON_KERNELS)
-    case util::SimdKernel::kNeon:
-      NeonBulkAndCollect(a, b_lo, off, nw, out);
-      return;
-#endif
-    default:
-      ScalarBulkAndCollect(a, b_lo, off, nw, out);
-      return;
   }
 }
 
@@ -504,15 +388,15 @@ void DynamicBitset::CollectAndShifted(const DynamicBitset& other,
   const std::size_t limit =
       other.num_bits_ > shift ? std::min(num_bits_, other.num_bits_ - shift)
                               : 0;
-  // Same bounds argument as CountAndShifted; the kernels append positions in
-  // increasing order, so the bulk prefix plus the scalar tail below yields
-  // the same sequence as a single scalar walk.
+  // Same bounds argument as CountAndShifted; the bulk loop appends positions
+  // in increasing order, so the bulk prefix plus the tail below yields the
+  // same sequence as a single walk.
   const std::size_t full_words = limit >> 6;
   const std::size_t ws = shift >> 6;
   const unsigned off = static_cast<unsigned>(shift & 63);
   if (full_words > 0) {
-    DispatchBulkAndCollect(words_.data(), other.words_.data() + ws, off,
-                           full_words, out);
+    ScalarBulkAndCollect(words_.data(), other.words_.data() + ws, off,
+                         full_words, out);
   }
   for (std::size_t base = full_words * 64; base < limit; base += 64) {
     const std::uint64_t a = WordAtBit(words_, limit, base);

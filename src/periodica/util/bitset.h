@@ -91,9 +91,7 @@ class DynamicBitset {
 
   /// Appends to `out` every position i with Test(i) && other.Test(i + shift),
   /// in increasing order of i. This is the exact engine's per-period
-  /// collection. Like CountAndShifted, the word loop dispatches to the
-  /// active SIMD kernel; the appended positions are identical — including
-  /// their order — under every kernel.
+  /// collection; one scalar word loop serves every SIMD kernel setting.
   void CollectAndShifted(const DynamicBitset& other, std::size_t shift,
                          std::vector<std::size_t>* out) const;
 

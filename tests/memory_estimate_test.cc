@@ -106,8 +106,22 @@ TEST(MemoryEstimateTest, ToStringNamesEveryTerm) {
   const std::string text = EstimateMineMemory(100000, 4, options).ToString();
   EXPECT_NE(text.find("total"), std::string::npos);
   EXPECT_NE(text.find("indicators"), std::string::npos);
-  EXPECT_NE(text.find("fft"), std::string::npos);
+  EXPECT_NE(text.find("stage1"), std::string::npos);
   EXPECT_NE(text.find("entries"), std::string::npos);
+}
+
+TEST(MemoryEstimateTest, ExactEngineTermNamesNoFft) {
+  // The exact engine has no FFT and no stage-1 path: its term is its
+  // per-period scratch.
+  MinerOptions options;
+  options.engine = MinerEngine::kExact;
+  const MineMemoryEstimate estimate = EstimateMineMemory(1000, 4, options);
+  EXPECT_EQ(estimate.engine, MinerEngine::kExact);
+  const std::string text = estimate.ToString();
+  EXPECT_NE(text.find("exact-period"), std::string::npos) << text;
+  EXPECT_EQ(text.find("fft"), std::string::npos) << text;
+  EXPECT_EQ(text.find("direct"), std::string::npos) << text;
+  EXPECT_EQ(text.find("stage1"), std::string::npos) << text;
 }
 
 // --- End-to-end budget enforcement through ObscureMiner ---

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -796,6 +797,39 @@ TEST(PeriodicadTest, StoreBackedSessionsThawBitIdenticalAfterRestart) {
     }
     EXPECT_EQ(total, 1.0) << "one resident idle session: " << stats.Dump();
   }
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+}
+
+// A daemon checkpoints to exactly one sink and reads only what it writes,
+// so asking for both backends is a usage error at startup, not a silent
+// preference for one of them.
+TEST(PeriodicadTest, StoreDirAndCheckpointDirAreMutuallyExclusive) {
+  const std::string dir = UniqueDir();
+  std::vector<std::string> args = {
+      PERIODICAD_PATH, "--socket=" + dir + "/d.sock",
+      "--store_dir=" + dir + "/store", "--checkpoint_dir=" + dir + "/ckpt"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  const std::string log = dir + "/stderr.log";
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::freopen(log.c_str(), "w", stderr);
+    ::execv(PERIODICAD_PATH, argv.data());
+    ::_exit(127);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::ifstream in(log);
+  const std::string message((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_NE(message.find("--store_dir"), std::string::npos) << message;
+  EXPECT_NE(message.find("--checkpoint_dir"), std::string::npos) << message;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/store"))
+      << "the daemon must refuse before opening either backend";
   std::error_code ignored;
   std::filesystem::remove_all(dir, ignored);
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -62,15 +63,17 @@ pid_t SpawnWithStderr(const char* binary, std::vector<std::string> args,
   return pid;
 }
 
-/// A periodicad shard serving both its Unix socket and an ephemeral TCP
-/// port, scraped from the daemon's "tcp listening" stderr line.
+/// A periodicad shard serving both its Unix socket and a TCP port — an
+/// ephemeral one unless `port` is set — scraped from the daemon's "tcp
+/// listening" stderr line.
 class ShardProcess {
  public:
-  explicit ShardProcess(std::vector<std::string> extra_args) {
+  explicit ShardProcess(std::vector<std::string> extra_args,
+                        std::uint16_t port = 0) {
     dir_ = UniqueDir();
     socket_ = dir_ + "/d.sock";
     std::vector<std::string> args = {PERIODICAD_PATH, "--socket=" + socket_,
-                                     "--tcp_port=0"};
+                                     "--tcp_port=" + std::to_string(port)};
     for (std::string& arg : extra_args) args.push_back(std::move(arg));
     pid_ = SpawnWithStderr(PERIODICAD_PATH, std::move(args),
                            dir_ + "/stderr.log");
@@ -306,6 +309,46 @@ TEST(RouterTest, DeadShardIsMarkedDownAndTrafficReroutes) {
         CallWithRetry(router.socket_path(), "mine", params);
     ASSERT_TRUE(mined.GetBool("ok", false)) << mined.Dump();
   }
+}
+
+/// shards.s0.<key> from a router stats response, or -1 when missing.
+double FirstShardStat(const std::string& router_socket,
+                      const std::string& key) {
+  Client client(router_socket);
+  const JsonValue stats = client.Call("stats", {});
+  const JsonValue* result = stats.Find("result");
+  const JsonValue* shards =
+      result == nullptr ? nullptr : result->Find("shards");
+  const JsonValue* s0 = shards == nullptr ? nullptr : shards->Find("s0");
+  return s0 == nullptr ? -1.0 : s0->GetNumber(key, -1.0);
+}
+
+// The heartbeat's reconnect path: a shard killed and restarted on the same
+// port is probed back, answers a ping and rejoins the ring.
+TEST(RouterTest, RestartedShardIsMarkedUpAgain) {
+  auto shard_a = std::make_unique<ShardProcess>(std::vector<std::string>{});
+  ShardProcess shard_b({});
+  const std::uint16_t port = shard_a->tcp_port();
+  RouterProcess router({port, shard_b.tcp_port()});
+  WaitForUpCount(router.socket_path(), 2.0, 5000);
+
+  shard_a->Kill();
+  WaitForUpCount(router.socket_path(), 1.0, 5000);
+  // Restart only after a probe has failed against the dead port and been
+  // rescheduled: the mark-down schedules the first reconnect, every later
+  // one follows a failed attempt.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (FirstShardStat(router.socket_path(), "reconnects") < 2.0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_GE(FirstShardStat(router.socket_path(), "reconnects"), 2.0)
+      << "a failed reconnect probe was never retried";
+  shard_a = std::make_unique<ShardProcess>(std::vector<std::string>{}, port);
+  ASSERT_EQ(shard_a->tcp_port(), port);
+  WaitForUpCount(router.socket_path(), 2.0, 5000);
+  EXPECT_GE(FirstShardStat(router.socket_path(), "marked_down"), 1.0);
 }
 
 TEST(RouterTest, StreamRequestsWithoutSessionAreRejectedLocally) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "periodica/core/streaming_detector.h"
+#include "periodica/serve/checkpoint_sink.h"
+#include "periodica/store/kv_store.h"
 #include "periodica/util/rng.h"
 
 namespace periodica::serve {
@@ -35,10 +38,16 @@ class SessionTableTest : public ::testing::Test {
     return StreamingPeriodDetector::EstimateMemoryBytes(3, options);
   }
 
-  static SessionTable::Options BaseOptions(const std::string& dir) {
+  /// Table options checkpointing to `sink`, which the fixture owns so it
+  /// outlives every table of the test.
+  SessionTable::Options SinkOptions(std::unique_ptr<CheckpointSink> sink) {
     SessionTable::Options options;
-    options.checkpoint_dir = dir;
+    options.sink = sinks_.emplace_back(std::move(sink)).get();
     return options;
+  }
+
+  SessionTable::Options BaseOptions(const std::string& dir) {
+    return SinkOptions(MakeDirectoryCheckpointSink(dir));
   }
 
   static Result<SessionTable::OpenResult> OpenSmall(SessionTable* table,
@@ -65,6 +74,7 @@ class SessionTableTest : public ::testing::Test {
   }
 
   std::string dir_;
+  std::vector<std::unique_ptr<CheckpointSink>> sinks_;
 };
 
 TEST_F(SessionTableTest, OpenAcquireCloseLifecycle) {
@@ -102,9 +112,19 @@ TEST_F(SessionTableTest, OpenAcquireCloseLifecycle) {
 }
 
 TEST_F(SessionTableTest, DefaultTenantKeepsLegacyCheckpointName) {
+  // On the directory sink the default tenant keeps the pre-tenant
+  // `<id>.pchk` file; any other tenant gets `<tenant>@<id>.pchk`.
   SessionTable table(BaseOptions(dir_));
-  EXPECT_EQ(table.CheckpointPath("default", "s1"), dir_ + "/s1.pchk");
-  EXPECT_EQ(table.CheckpointPath("acme", "s1"), dir_ + "/acme@s1.pchk");
+  SessionTable::Rejection rejection;
+  for (const std::string tenant : {"default", "acme"}) {
+    ASSERT_TRUE(OpenSmall(&table, tenant, "s1", &rejection).ok());
+    Result<SessionTable::CloseResult> closed =
+        table.Close(tenant, "s1", /*checkpoint=*/true);
+    ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+    EXPECT_TRUE(std::filesystem::exists(closed.value().checkpoint_path));
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/s1.pchk"));
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/acme@s1.pchk"));
 }
 
 TEST_F(SessionTableTest, ValidNameRejectsPathTricks) {
@@ -182,7 +202,7 @@ TEST_F(SessionTableTest, EvictedSessionThawsBitIdentical) {
 }
 
 TEST_F(SessionTableTest, QuotaRejectsWhenNothingIsEvictable) {
-  // No checkpoint_dir: eviction is impossible, so quota pressure must turn
+  // No sink: eviction is impossible, so quota pressure must turn
   // into a structured rejection, not an eviction.
   SessionTable::Options options;
   options.tenant_budget_bytes = SessionBytes() + SessionBytes() / 2;
@@ -362,10 +382,8 @@ class StoreBackedSessionTest : public SessionTableTest {
     return opened.ok() ? std::move(opened.value()) : nullptr;
   }
 
-  static SessionTable::Options StoreOnlyOptions(store::KvStore* kv) {
-    SessionTable::Options options;  // deliberately no checkpoint_dir
-    options.store = kv;
-    return options;
+  SessionTable::Options StoreOnlyOptions(store::KvStore* kv) {
+    return SinkOptions(MakeStoreCheckpointSink(kv));
   }
 };
 
@@ -478,31 +496,6 @@ TEST_F(StoreBackedSessionTest, CloseWithoutCheckpointDropsTheStoreRecord) {
   SessionTable table(StoreOnlyOptions(kv.get()));
   SessionTable::Rejection rejection;
   EXPECT_FALSE(table.Open("acme", "s1", 0, {}, true, &rejection).ok());
-}
-
-TEST_F(StoreBackedSessionTest, LooseFileCheckpointsStayResumable) {
-  // Migration: checkpoints written by a file-backed table (pre-store
-  // deployments) must still resume once the store is switched on, when the
-  // old checkpoint_dir is kept as the fallback.
-  {
-    SessionTable file_backed(BaseOptions(dir_));
-    SessionTable::Rejection rejection;
-    ASSERT_TRUE(OpenSmall(&file_backed, "acme", "old", &rejection).ok());
-    Feed(&file_backed, "acme", "old", "abcabcabc");
-    ASSERT_TRUE(file_backed.Close("acme", "old", true).ok());
-  }
-  ASSERT_TRUE(std::filesystem::exists(dir_ + "/acme@old.pchk"));
-
-  std::unique_ptr<store::KvStore> kv = OpenStore();
-  ASSERT_NE(kv, nullptr);
-  SessionTable::Options options = BaseOptions(dir_);  // dir kept as fallback
-  options.store = kv.get();
-  SessionTable table(options);
-  SessionTable::Rejection rejection;
-  Result<SessionTable::OpenResult> resumed =
-      table.Open("acme", "old", 0, {}, /*resume=*/true, &rejection);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed.value().size, 9u);
 }
 
 TEST_F(StoreBackedSessionTest, DrainCheckpointsEverySessionToTheStore) {

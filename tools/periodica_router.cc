@@ -143,16 +143,17 @@ class Router {
   Status Run();
 
  private:
-  // One proxied connection to a shard, owned by the client connection that
-  // opened it (so per-connection serial semantics survive the hop: a
-  // client's requests to one shard flow down one upstream, in order).
-  struct Upstream {
-    std::string shard;
+  // One non-blocking line connection to a shard: a client's upstream or a
+  // shard's heartbeat. Its helpers (Connect..Close) return failures as a
+  // Status; the owner applies its policy (UpstreamFailed, HeartbeatLost).
+  // Only upstreams fire the tcp/write and tcp/read fault sites.
+  struct Line {
     util::UniqueFd fd;
     LineBuffer in;
     std::string out;
     std::size_t out_offset = 0;
     bool connecting = false;
+    bool fault_sites = false;
   };
 
   // The request a client connection currently has in flight, with the
@@ -183,7 +184,9 @@ class Router {
     explicit Client(ConnectionPtr conn_in) : conn(std::move(conn_in)) {}
     const ConnectionPtr conn;
     InFlight flight;
-    std::map<std::string, std::unique_ptr<Upstream>> upstreams;  // by shard
+    // By shard: a client's requests to one shard flow down one line, in
+    // order, so per-connection serial semantics survive the hop.
+    std::map<std::string, std::unique_ptr<Line>> upstreams;
   };
   using ClientPtr = std::shared_ptr<Client>;
 
@@ -192,11 +195,7 @@ class Router {
   struct Shard {
     ShardSpec spec;
     bool up = false;
-    util::UniqueFd hb_fd;
-    LineBuffer hb_in;
-    std::string hb_out;
-    std::size_t hb_out_offset = 0;
-    bool hb_connecting = false;
+    Line hb;
     bool awaiting_pong = false;
     std::uint64_t ping_timer = 0;      // next scheduled ping (0 = none)
     std::uint64_t deadline_timer = 0;  // pong deadline (0 = none)
@@ -220,22 +219,32 @@ class Router {
   JsonValue RouterOverloaded(const std::string& message) const;
   JsonValue HandleStats() const;
 
+  // Lines. Flush finishes a pending connect first; Queue appends a line
+  // and flushes unless still connecting; Drain treats EOF as a failure.
+  Status Connect(Line* line, const ShardSpec& spec,
+                 EventLoop::Handler handler);
+  Status Queue(Line* line, const std::string& text);
+  Status Flush(Line* line);
+  Status Drain(Line* line);
+  void Close(Line* line);
+
   // Upstreams.
-  Upstream* GetOrConnectUpstream(const ClientPtr& client,
-                                 const std::string& shard_name);
-  void SendOnUpstream(const ClientPtr& client,
-                      Upstream* upstream, const std::string& line);
+  Line* GetOrConnectUpstream(const ClientPtr& client,
+                             const std::string& shard_name);
+  void SendOnUpstream(const ClientPtr& client, const std::string& shard_name,
+                      const std::string& line);
   void OnUpstreamReadable(const ClientPtr& client,
                           const std::string& shard_name);
   void OnUpstreamWritable(const ClientPtr& client,
                           const std::string& shard_name);
-  void FlushUpstream(const ClientPtr& client,
-                     Upstream* upstream);
   void HandleUpstreamResponse(const ClientPtr& client,
                               const std::string& shard_name,
                               const std::string& line);
   void DropUpstream(const ClientPtr& client,
                     const std::string& shard_name);
+  /// An upstream line failed: drop it and mark its shard down.
+  void UpstreamFailed(const ClientPtr& client, const std::string& shard_name,
+                      const Status& status);
 
   // Shard supervision.
   Shard* FindShard(const std::string& name);
@@ -243,11 +252,12 @@ class Router {
   void OnHeartbeatReadable(const std::string& name);
   void OnHeartbeatWritable(const std::string& name);
   void SendPing(const std::string& name);
-  void FlushHeartbeat(Shard* shard);
   void OnPingDeadline(const std::string& name);
+  /// The heartbeat failed: close it, then mark an up shard down (which
+  /// schedules the reconnect) or schedule the next reconnect of a down one.
+  void HeartbeatLost(Shard* shard, const std::string& reason);
   void MarkShardUp(const std::string& name);
   void MarkShardDown(const std::string& name, const std::string& reason);
-  void CloseHeartbeat(Shard* shard);
   void ScheduleReconnect(Shard* shard);
 
   // Zombie hygiene (see the Pin struct).
@@ -482,36 +492,89 @@ void Router::DispatchInFlight(const ClientPtr& client) {
   }
   flight.target = *target;
   flight.repair = InFlight::Repair::kNone;
-  Upstream* upstream = GetOrConnectUpstream(client, *target);
-  if (upstream == nullptr) {
+  if (GetOrConnectUpstream(client, *target) == nullptr) {
     // Could not even start a connection: treat the shard as dead. That
     // re-dispatches this request (attempts + 1) along with any other
     // in-flight request targeting it.
     MarkShardDown(*target, "connect failed");
     return;
   }
-  SendOnUpstream(client, upstream, flight.line);
+  SendOnUpstream(client, *target, flight.line);
+}
+
+// --- Lines -----------------------------------------------------------------
+
+Status Router::Connect(Line* line, const ShardSpec& spec,
+                       EventLoop::Handler handler) {
+  bool connected = false;
+  PERIODICA_ASSIGN_OR_RETURN(
+      line->fd, util::TcpConnectStart(spec.host, spec.port, &connected));
+  line->connecting = !connected;
+  line->in = LineBuffer();
+  line->out.clear();
+  line->out_offset = 0;
+  Status added = loop_->Add(line->fd.get(), /*want_read=*/true,
+                            /*want_write=*/true, std::move(handler));
+  if (!added.ok()) line->fd.Close();
+  return added;
+}
+
+Status Router::Queue(Line* line, const std::string& text) {
+  line->out += text;
+  line->out.push_back('\n');
+  return line->connecting ? Status::OK() : Flush(line);
+}
+
+Status Router::Flush(Line* line) {
+  if (line->connecting) {
+    const Status status = util::TcpConnectFinish(line->fd.get());
+    if (!status.ok()) return Status::IOError("connect: " + status.message());
+    line->connecting = false;
+  }
+  if (line->fault_sites && !util::FaultInjector::Check("tcp/write").ok()) {
+    return Status::IOError("injected write fault");
+  }
+  const Result<bool> sent =
+      util::SendSome(line->fd.get(), line->out, &line->out_offset);
+  if (!sent.ok()) return Status::IOError("write: " + sent.status().message());
+  if (sent.value()) {
+    line->out.clear();
+    line->out_offset = 0;
+  }
+  (void)loop_->SetInterest(line->fd.get(), /*want_read=*/true,
+                           /*want_write=*/!line->out.empty());
+  return Status::OK();
+}
+
+Status Router::Drain(Line* line) {
+  if (line->fault_sites && !util::FaultInjector::Check("tcp/read").ok()) {
+    return Status::IOError("injected read fault");
+  }
+  const Result<bool> eof = util::DrainReadable(line->fd.get(), &line->in);
+  if (!eof.ok()) return Status::IOError("read: " + eof.status().message());
+  if (eof.value()) return Status::IOError("EOF");
+  return Status::OK();
+}
+
+void Router::Close(Line* line) {
+  if (!line->fd.valid()) return;
+  loop_->Remove(line->fd.get());
+  line->fd.Close();
+  line->connecting = false;
 }
 
 // --- Upstreams -------------------------------------------------------------
 
-Router::Upstream* Router::GetOrConnectUpstream(
-    const ClientPtr& client, const std::string& shard_name) {
+Router::Line* Router::GetOrConnectUpstream(const ClientPtr& client,
+                                           const std::string& shard_name) {
   if (const auto it = client->upstreams.find(shard_name);
       it != client->upstreams.end()) {
     return it->second.get();
   }
   Shard* shard = FindShard(shard_name);
   if (shard == nullptr) return nullptr;
-  bool connected = false;
-  Result<util::UniqueFd> fd =
-      util::TcpConnectStart(shard->spec.host, shard->spec.port, &connected);
-  if (!fd.ok()) return nullptr;
-  auto upstream = std::make_unique<Upstream>();
-  upstream->shard = shard_name;
-  upstream->fd = std::move(fd.value());
-  upstream->connecting = !connected;
-  const int raw = upstream->fd.get();
+  auto upstream = std::make_unique<Line>();
+  upstream->fault_sites = true;
   EventLoop::Handler handler;
   handler.on_readable = [this, weak = std::weak_ptr<Client>(client),
                          shard_name] {
@@ -521,82 +584,36 @@ Router::Upstream* Router::GetOrConnectUpstream(
                          shard_name] {
     if (auto client = weak.lock()) OnUpstreamWritable(client, shard_name);
   };
-  if (!loop_->Add(raw, /*want_read=*/true, /*want_write=*/true,
-                  std::move(handler))
-           .ok()) {
+  if (!Connect(upstream.get(), shard->spec, std::move(handler)).ok()) {
     return nullptr;
   }
-  Upstream* raw_upstream = upstream.get();
+  Line* raw = upstream.get();
   client->upstreams.emplace(shard_name, std::move(upstream));
-  return raw_upstream;
+  return raw;
 }
 
 void Router::SendOnUpstream(const ClientPtr& client,
-                            Upstream* upstream, const std::string& line) {
-  upstream->out += line;
-  upstream->out.push_back('\n');
-  if (!upstream->connecting) FlushUpstream(client, upstream);
+                            const std::string& shard_name,
+                            const std::string& line) {
+  const Status status = Queue(client->upstreams.at(shard_name).get(), line);
+  if (!status.ok()) UpstreamFailed(client, shard_name, status);
 }
 
 void Router::OnUpstreamWritable(const ClientPtr& client,
                                 const std::string& shard_name) {
   const auto it = client->upstreams.find(shard_name);
   if (it == client->upstreams.end()) return;
-  Upstream* upstream = it->second.get();
-  if (upstream->connecting) {
-    if (const Status status = util::TcpConnectFinish(upstream->fd.get());
-        !status.ok()) {
-      DropUpstream(client, shard_name);
-      MarkShardDown(shard_name, "upstream connect: " + status.message());
-      return;
-    }
-    upstream->connecting = false;
-  }
-  FlushUpstream(client, upstream);
-}
-
-void Router::FlushUpstream(const ClientPtr& client,
-                           Upstream* upstream) {
-  if (Status injected = util::FaultInjector::Check("tcp/write");
-      !injected.ok()) {
-    const std::string shard_name = upstream->shard;
-    DropUpstream(client, shard_name);
-    MarkShardDown(shard_name, "injected write fault");
-    return;
-  }
-  const Result<bool> sent = util::SendSome(upstream->fd.get(), upstream->out,
-                                           &upstream->out_offset);
-  if (!sent.ok()) {
-    const std::string shard_name = upstream->shard;
-    DropUpstream(client, shard_name);
-    MarkShardDown(shard_name, "upstream write: " + sent.status().message());
-    return;
-  }
-  if (sent.value()) {
-    upstream->out.clear();
-    upstream->out_offset = 0;
-  }
-  (void)loop_->SetInterest(upstream->fd.get(), /*want_read=*/true,
-                           /*want_write=*/!upstream->out.empty());
+  const Status status = Flush(it->second.get());
+  if (!status.ok()) UpstreamFailed(client, shard_name, status);
 }
 
 void Router::OnUpstreamReadable(const ClientPtr& client,
                                 const std::string& shard_name) {
   const auto it = client->upstreams.find(shard_name);
   if (it == client->upstreams.end()) return;
-  Upstream* upstream = it->second.get();
-  if (Status injected = util::FaultInjector::Check("tcp/read");
-      !injected.ok()) {
-    DropUpstream(client, shard_name);
-    MarkShardDown(shard_name, "injected read fault");
-    return;
-  }
-  const Result<bool> eof =
-      util::DrainReadable(upstream->fd.get(), &upstream->in);
-  if (!eof.ok() || eof.value()) {
-    DropUpstream(client, shard_name);
-    MarkShardDown(shard_name, eof.ok() ? "upstream EOF"
-                                       : "upstream read error");
+  Line* upstream = it->second.get();
+  if (const Status status = Drain(upstream); !status.ok()) {
+    UpstreamFailed(client, shard_name, status);
     return;
   }
   // At most one response is outstanding per upstream (serial semantics),
@@ -639,8 +656,7 @@ void Router::HandleUpstreamResponse(const ClientPtr& client,
     JsonValue::Object request;
     request["method"] = std::string("stream_open");
     request["params"] = JsonValue(std::move(params));
-    Upstream* upstream = client->upstreams.at(shard_name).get();
-    SendOnUpstream(client, upstream, JsonValue(std::move(request)).Dump());
+    SendOnUpstream(client, shard_name, JsonValue(std::move(request)).Dump());
     return;
   }
 
@@ -665,8 +681,7 @@ void Router::HandleUpstreamResponse(const ClientPtr& client,
         // would shadow future NOT_FOUND repair and serve wrong detects.
         DiscardElsewhere(shard_name, flight.tenant, flight.session);
       }
-      Upstream* upstream = client->upstreams.at(shard_name).get();
-      SendOnUpstream(client, upstream, flight.line);
+      SendOnUpstream(client, shard_name, flight.line);
       return;
     }
     JsonValue relayed =
@@ -713,8 +728,7 @@ void Router::HandleUpstreamResponse(const ClientPtr& client,
       request["method"] = std::string("stream_open");
     }
     request["params"] = JsonValue(std::move(params));
-    Upstream* upstream = client->upstreams.at(shard_name).get();
-    SendOnUpstream(client, upstream, JsonValue(std::move(request)).Dump());
+    SendOnUpstream(client, shard_name, JsonValue(std::move(request)).Dump());
     return;
   }
 
@@ -748,8 +762,15 @@ void Router::DropUpstream(const ClientPtr& client,
                           const std::string& shard_name) {
   const auto it = client->upstreams.find(shard_name);
   if (it == client->upstreams.end()) return;
-  loop_->Remove(it->second->fd.get());
+  Close(it->second.get());
   client->upstreams.erase(it);
+}
+
+void Router::UpstreamFailed(const ClientPtr& client,
+                            const std::string& shard_name,
+                            const Status& status) {
+  DropUpstream(client, shard_name);
+  MarkShardDown(shard_name, "upstream " + status.message());
 }
 
 void Router::OnClientClosed(const ConnectionPtr& conn) {
@@ -758,9 +779,7 @@ void Router::OnClientClosed(const ConnectionPtr& conn) {
   const ClientPtr client = it->second;
   clients_.erase(it);
   client->flight = InFlight{};
-  for (auto& [name, upstream] : client->upstreams) {
-    loop_->Remove(upstream->fd.get());
-  }
+  for (auto& [name, upstream] : client->upstreams) Close(upstream.get());
   client->upstreams.clear();
 }
 
@@ -773,60 +792,34 @@ Router::Shard* Router::FindShard(const std::string& name) {
 
 void Router::StartHeartbeatConnect(const std::string& name) {
   Shard* shard = FindShard(name);
-  if (shard == nullptr || shard->hb_fd.valid() || shutting_down_) return;
-  bool connected = false;
-  Result<util::UniqueFd> fd =
-      util::TcpConnectStart(shard->spec.host, shard->spec.port, &connected);
-  if (!fd.ok()) {
-    ScheduleReconnect(shard);
-    return;
-  }
-  shard->hb_fd = std::move(fd.value());
-  shard->hb_connecting = !connected;
-  shard->hb_in = LineBuffer();
-  shard->hb_out.clear();
-  shard->hb_out_offset = 0;
+  if (shard == nullptr || shard->hb.fd.valid() || shutting_down_) return;
   EventLoop::Handler handler;
   handler.on_readable = [this, name] { OnHeartbeatReadable(name); };
   handler.on_writable = [this, name] { OnHeartbeatWritable(name); };
-  if (!loop_->Add(shard->hb_fd.get(), /*want_read=*/true, /*want_write=*/true,
-                  std::move(handler))
-           .ok()) {
-    shard->hb_fd.Close();
+  if (!Connect(&shard->hb, shard->spec, std::move(handler)).ok()) {
     ScheduleReconnect(shard);
     return;
   }
-  if (!shard->hb_connecting) SendPing(name);
+  if (!shard->hb.connecting) SendPing(name);
 }
 
 void Router::OnHeartbeatWritable(const std::string& name) {
   Shard* shard = FindShard(name);
-  if (shard == nullptr || !shard->hb_fd.valid()) return;
-  if (shard->hb_connecting) {
-    if (const Status status = util::TcpConnectFinish(shard->hb_fd.get());
-        !status.ok()) {
-      CloseHeartbeat(shard);
-      if (shard->up) {
-        MarkShardDown(name, "heartbeat connect: " + status.message());
-      } else {
-        ScheduleReconnect(shard);
-      }
-      return;
-    }
-    shard->hb_connecting = false;
-    SendPing(name);
+  if (shard == nullptr || !shard->hb.fd.valid()) return;
+  const bool was_connecting = shard->hb.connecting;
+  if (const Status status = Flush(&shard->hb); !status.ok()) {
+    HeartbeatLost(shard, "heartbeat " + status.message());
     return;
   }
-  FlushHeartbeat(shard);
+  if (was_connecting) SendPing(name);
 }
 
 void Router::SendPing(const std::string& name) {
   Shard* shard = FindShard(name);
-  if (shard == nullptr || !shard->hb_fd.valid() || shard->hb_connecting ||
-      shutting_down_) {
+  if (shard == nullptr || !shard->hb.fd.valid() ||
+      shard->hb.connecting || shutting_down_) {
     return;
   }
-  shard->hb_out += "{\"id\":\"hb\",\"method\":\"ping\"}\n";
   shard->awaiting_pong = true;
   ++shard->pings;
   if (shard->deadline_timer != 0) loop_->CancelTimer(shard->deadline_timer);
@@ -837,47 +830,20 @@ void Router::SendPing(const std::string& name) {
       std::chrono::milliseconds(timeout), [this, name] {
         OnPingDeadline(name);
       });
-  FlushHeartbeat(shard);
-}
-
-void Router::FlushHeartbeat(Shard* shard) {
-  if (!shard->hb_fd.valid()) return;
-  const Result<bool> sent = util::SendSome(shard->hb_fd.get(), shard->hb_out,
-                                           &shard->hb_out_offset);
-  if (!sent.ok()) {
-    const std::string name = shard->spec.name;
-    CloseHeartbeat(shard);
-    if (shard->up) {
-      MarkShardDown(name, "heartbeat write: " + sent.status().message());
-    } else {
-      ScheduleReconnect(shard);
-    }
-    return;
-  }
-  if (sent.value()) {
-    shard->hb_out.clear();
-    shard->hb_out_offset = 0;
-  }
-  (void)loop_->SetInterest(shard->hb_fd.get(), /*want_read=*/true,
-                           /*want_write=*/!shard->hb_out.empty());
+  const Status status =
+      Queue(&shard->hb, "{\"id\":\"hb\",\"method\":\"ping\"}");
+  if (!status.ok()) HeartbeatLost(shard, "heartbeat " + status.message());
 }
 
 void Router::OnHeartbeatReadable(const std::string& name) {
   Shard* shard = FindShard(name);
-  if (shard == nullptr || !shard->hb_fd.valid()) return;
-  const Result<bool> eof =
-      util::DrainReadable(shard->hb_fd.get(), &shard->hb_in);
-  if (!eof.ok() || eof.value()) {
-    CloseHeartbeat(shard);
-    if (shard->up) {
-      MarkShardDown(name, "heartbeat connection lost");
-    } else {
-      ScheduleReconnect(shard);
-    }
+  if (shard == nullptr || !shard->hb.fd.valid()) return;
+  if (const Status status = Drain(&shard->hb); !status.ok()) {
+    HeartbeatLost(shard, "heartbeat " + status.message());
     return;
   }
   while (true) {
-    const std::optional<std::string> line = shard->hb_in.NextLine();
+    const std::optional<std::string> line = shard->hb.in.NextLine();
     if (!line.has_value()) break;
     // Any complete response settles the outstanding ping.
     if (!shard->awaiting_pong) continue;
@@ -899,9 +865,13 @@ void Router::OnPingDeadline(const std::string& name) {
   if (shard == nullptr) return;
   shard->deadline_timer = 0;
   if (!shard->awaiting_pong) return;  // pong won the race
-  CloseHeartbeat(shard);
+  HeartbeatLost(shard, "ping deadline exceeded");
+}
+
+void Router::HeartbeatLost(Shard* shard, const std::string& reason) {
+  Close(&shard->hb);
   if (shard->up) {
-    MarkShardDown(name, "ping deadline exceeded");
+    MarkShardDown(shard->spec.name, reason);
   } else {
     ScheduleReconnect(shard);
   }
@@ -952,7 +922,7 @@ void Router::MarkShardDown(const std::string& name,
     loop_->CancelTimer(shard->ping_timer);
     shard->ping_timer = 0;
   }
-  CloseHeartbeat(shard);
+  Close(&shard->hb);
   if (was_up) {
     ++shard->marked_down;
     std::fprintf(stderr, "periodica_router: shard %s down (%s)\n",
@@ -1001,10 +971,9 @@ std::string Router::DiscardRequestLine(const std::string& tenant,
 }
 
 void Router::QueueShardControl(Shard* shard, const std::string& line) {
-  if (!shard->hb_fd.valid() || shutting_down_) return;
-  shard->hb_out += line;
-  shard->hb_out.push_back('\n');
-  if (!shard->hb_connecting) FlushHeartbeat(shard);
+  if (!shard->hb.fd.valid() || shutting_down_) return;
+  const Status status = Queue(&shard->hb, line);
+  if (!status.ok()) HeartbeatLost(shard, "heartbeat " + status.message());
 }
 
 void Router::DiscardElsewhere(const std::string& keep,
@@ -1053,13 +1022,6 @@ void Router::SchedulePinSweep() {
   if (period_ms < 1000) period_ms = 1000;
   loop_->RunAfter(std::chrono::milliseconds(period_ms),
                   [this] { SweepPins(); });
-}
-
-void Router::CloseHeartbeat(Shard* shard) {
-  if (!shard->hb_fd.valid()) return;
-  loop_->Remove(shard->hb_fd.get());
-  shard->hb_fd.Close();
-  shard->hb_connecting = false;
 }
 
 void Router::ScheduleReconnect(Shard* shard) {

@@ -22,8 +22,9 @@
 //    CancellationToken; a watchdog thread cancels jobs that exceed the
 //    wedge timeout, turning a hung worker into a partial result;
 //  * graceful drain: SIGTERM/SIGINT stop admission, finish in-flight jobs
-//    and flush their responses, checkpoint every open streaming session to
-//    --checkpoint_dir (core/checkpoint.h), and exit 0.
+//    and flush their responses, checkpoint every open streaming session
+//    (core/checkpoint.h) to the one serve::CheckpointSink — --store_dir or
+//    --checkpoint_dir, never both — and exit 0.
 //
 //  * durability (--store_dir): a log-structured KV store (store/kv_store.h)
 //    holds session checkpoints and a mine result cache keyed by
@@ -34,7 +35,7 @@
 //  * multi-node (--tcp_port): the same protocol served over TCP beside the
 //    Unix socket, so periodica_router can consistent-hash sessions across
 //    N shard daemons. With --checkpoint_each_feed every acked feed is
-//    durable in the (shared) checkpoint backend, which is what lets a
+//    durable in the shared --checkpoint_dir, which is what lets a
 //    router re-route a session to a peer shard mid-stream and replay the
 //    one ambiguous in-flight feed idempotently (params.offset).
 //
@@ -60,6 +61,7 @@
 #include "periodica/core/memory_estimate.h"
 #include "periodica/core/miner.h"
 #include "periodica/core/streaming_detector.h"
+#include "periodica/serve/checkpoint_sink.h"
 #include "periodica/serve/server.h"
 #include "periodica/serve/session_table.h"
 #include "periodica/series/series.h"
@@ -94,8 +96,10 @@ struct DaemonConfig {
   std::string store_dir;  ///< durable KvStore root; "" disables the store
   std::int64_t store_wal_rotate_bytes = 0;  ///< 0 = library default
   /// Opened in Main() (so recovery failures abort startup with a clear
-  /// message), owned there, borrowed by the daemon for its whole life.
+  /// message), owned there, borrowed by the daemon for its whole life —
+  /// like `sink`, over `store` or `checkpoint_dir` (null with neither).
   store::KvStore* store = nullptr;
+  serve::CheckpointSink* sink = nullptr;
   std::int64_t workers = 1;
   std::int64_t max_queue_depth = 16;
   double max_queue_latency_ms = 0.0;
@@ -151,8 +155,7 @@ class Daemon {
 
   static SessionTable::Options MakeTableOptions(const DaemonConfig& config) {
     SessionTable::Options options;
-    options.checkpoint_dir = config.checkpoint_dir;
-    options.store = config.store;
+    options.sink = config.sink;
     options.global_budget_bytes = static_cast<std::size_t>(
         std::max<std::int64_t>(0, config.session_budget_bytes));
     options.tenant_budget_bytes = static_cast<std::size_t>(
@@ -228,10 +231,8 @@ class Daemon {
     return tenant_counters_[tenant];
   }
 
-  /// Session checkpoints have somewhere durable to go (store or files).
-  [[nodiscard]] bool Durable() const {
-    return config_.store != nullptr || !config_.checkpoint_dir.empty();
-  }
+  /// Session checkpoints have somewhere durable to go.
+  [[nodiscard]] bool Durable() const { return config_.sink != nullptr; }
 
   const DaemonConfig config_;  ///< immutable after construction
   util::MemoryBudget pool_;  // lint: unguarded(pool_): internally atomic
@@ -1218,11 +1219,12 @@ int Main(int argc, char** argv) {
   flags.AddString("checkpoint_dir", &config.checkpoint_dir,
                   "directory for streaming-session checkpoints (drain and "
                   "eviction target; empty disables checkpointing AND "
-                  "quota eviction unless --store_dir is set)");
+                  "quota eviction unless --store_dir is set instead)");
   flags.AddString("store_dir", &config.store_dir,
                   "directory for the durable KV store (WAL + sorted "
                   "segments): session checkpoints and the mine result cache "
-                  "live here and survive crashes; empty disables it");
+                  "live here and survive crashes; empty disables it (not "
+                  "with --checkpoint_dir)");
   flags.AddInt64("store_wal_rotate_bytes", &config.store_wal_rotate_bytes,
                  "rotate the store WAL into a sorted segment past this many "
                  "bytes (0 = library default; the soak shrinks it to "
@@ -1277,9 +1279,9 @@ int Main(int argc, char** argv) {
       "docs/SERVING.md for the protocol, overload semantics and capacity\n"
       "planning. One epoll event loop multiplexes every connection;\n"
       "streaming sessions are multi-tenant with per-tenant memory quotas\n"
-      "(idle sessions evict to --checkpoint_dir and thaw on next use).\n"
-      "SIGTERM drains gracefully: admission stops, in-flight jobs finish,\n"
-      "streaming sessions checkpoint to --checkpoint_dir, exit code 0.");
+      "(idle sessions evict to --store_dir or --checkpoint_dir and thaw on\n"
+      "next use). SIGTERM drains gracefully: admission stops, in-flight\n"
+      "jobs finish, streaming sessions checkpoint, exit code 0.");
   if (const Status status = flags.Parse(argc, argv); !status.ok()) {
     std::fprintf(stderr, "periodicad: %s\n%s", status.ToString().c_str(),
                  flags.Usage().c_str());
@@ -1294,6 +1296,11 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "periodicad: --tcp_port must be in [0, 65535]\n");
     return 2;
   }
+  if (!config.store_dir.empty() && !config.checkpoint_dir.empty()) {
+    std::fprintf(stderr, "periodicad: --store_dir and --checkpoint_dir are "
+                         "mutually exclusive\n");
+    return 2;
+  }
   if (config.checkpoint_each_feed && config.checkpoint_dir.empty() &&
       config.store_dir.empty()) {
     std::fprintf(stderr,
@@ -1301,6 +1308,7 @@ int Main(int argc, char** argv) {
                  "--checkpoint_dir or --store_dir\n");
     return 2;
   }
+  std::unique_ptr<serve::CheckpointSink> sink;
   if (!config.checkpoint_dir.empty()) {
     // Eviction and drain both write here; a missing directory would
     // silently turn every eviction into a quota rejection.
@@ -1311,6 +1319,7 @@ int Main(int argc, char** argv) {
                    config.checkpoint_dir.c_str(), error.message().c_str());
       return 2;
     }
+    sink = serve::MakeDirectoryCheckpointSink(config.checkpoint_dir);
   }
 
   std::vector<std::unique_ptr<util::ScopedFault>> armed_faults;
@@ -1343,6 +1352,7 @@ int Main(int argc, char** argv) {
     }
     kv_store = std::move(opened.value());
     config.store = kv_store.get();
+    sink = serve::MakeStoreCheckpointSink(kv_store.get());
     const store::KvStore::Stats stats = kv_store->GetStats();
     if (stats.recoveries > 0) {
       std::fprintf(stderr,
@@ -1354,6 +1364,7 @@ int Main(int argc, char** argv) {
     }
   }
 
+  config.sink = sink.get();
   Daemon daemon(std::move(config));
   if (const Status status = daemon.Run(); !status.ok()) {
     std::fprintf(stderr, "periodicad: %s\n", status.ToString().c_str());
