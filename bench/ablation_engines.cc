@@ -1,8 +1,10 @@
 // Ablation: exact bitset engine vs FFT engine (DESIGN.md Sect. 6). The
 // exact engine evaluates the paper's weighted convolution with bitset
 // arithmetic (O(sigma n^2 / 64)); the FFT engine is O(sigma n log n) plus
-// refinement. This bench locates the crossover that motivates
-// MinerOptions::auto_engine_cutoff.
+// refinement. This bench measures where the FFT engine overtakes the exact
+// one (n = 512 on the host EXPERIMENTS.md reports); it does not set
+// MinerOptions::auto_engine_cutoff, which also decides whether periods-only
+// output carries exact summaries.
 
 #include <iostream>
 #include <string>
@@ -58,9 +60,11 @@ int Run(int argc, char** argv) {
     PERIODICA_CHECK(equal);
   }
   table.Print(std::cout);
-  std::cout << "\nReading: the quadratic engine wins on short series (FFT "
-               "setup costs dominate) and loses increasingly badly as n "
-               "grows — the ratio column motivates the kAuto cutoff.\n";
+  std::cout << "\nReading: the quadratic engine keeps up only on the "
+               "shortest series and loses increasingly badly as n grows. "
+               "The kAuto cutoff (2048) stays above the crossover because "
+               "it also picks exact (exact engine) or aggregate-bound (FFT "
+               "engine) summaries in periods-only mode.\n";
   return 0;
 }
 

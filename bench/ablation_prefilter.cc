@@ -50,26 +50,20 @@ int Run(int argc, char** argv) {
   FftConvolutionMiner fft_miner(series);
   ExactConvolutionMiner exact_miner(series);
 
+  std::vector<std::vector<std::uint64_t>> match_counts;
+  for (std::size_t k = 0; k < sigma; ++k) {
+    match_counts.push_back(
+        fft_miner.MatchCounts(static_cast<SymbolId>(k), max_period));
+  }
+
   TextTable table({"Threshold", "Survivors", "Survive %", "Detected periods",
                    "FFT time (s)", "Lossless"});
   for (const double threshold : {0.9, 0.7, 0.5, 0.3, 0.1}) {
-    // Count pre-filter survivors exactly as the engine does.
-    std::size_t survivors = 0;
-    for (std::size_t k = 0; k < sigma; ++k) {
-      const auto counts =
-          fft_miner.MatchCounts(static_cast<SymbolId>(k), max_period);
-      for (std::size_t p = 1; p < counts.size(); ++p) {
-        if (counts[p] == 0) continue;
-        const double min_pairs =
-            static_cast<double>(internal::MinPairCount(n, p));
-        if (static_cast<double>(counts[p]) + 1e-9 >= threshold * min_pairs) {
-          ++survivors;
-        }
-      }
-    }
-
     MinerOptions options;
     options.threshold = threshold;
+    // The engine's own pre-filter decides the survivors.
+    const std::size_t survivors =
+        internal::PrefilterCandidates(match_counts, n, options).size();
     Stopwatch watch;
     const PeriodicityTable fft_table = fft_miner.Mine(options);
     const double seconds = watch.ElapsedSeconds();

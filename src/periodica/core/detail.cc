@@ -8,27 +8,33 @@
 
 namespace periodica::internal {
 
-void EmitPeriod(std::size_t n, std::size_t period,
-                std::span<const PhaseCount> counts,
+bool PassesDefinition1(std::uint64_t f2, std::uint64_t pairs,
+                       const MinerOptions& options) {
+  if (pairs == 0 || pairs < options.min_pairs) return false;
+  return !(static_cast<double>(f2) / static_cast<double>(pairs) <
+           options.threshold);
+}
+
+void EmitPeriod(std::size_t period, std::span<const PhaseCount> counts,
+                const std::function<std::uint64_t(std::size_t)>& pairs_of,
                 const MinerOptions& options, PeriodicityTable* table) {
   PERIODICA_DCHECK(table != nullptr);
   PERIODICA_DCHECK(period >= 1);
   PeriodSummary summary;
   summary.period = period;
-  bool any = false;
+  std::vector<SymbolPeriodicity> kept;
+  if (options.positions) kept.reserve(counts.size());
   bool truncated = table->truncated();
   for (const PhaseCount& count : counts) {
-    // Both engines produce phases inside the paper's W_{p,k,l} partition,
+    // Every producer counts phases inside the paper's W_{p,k,l} partition,
     // and F2 counts bounded by the number of projection pairs; a violation
     // here means a decode bug upstream, not bad user input.
     PERIODICA_DCHECK(count.phase < period);
-    const std::uint64_t pairs = ProjectionPairCount(n, period, count.phase);
+    const std::uint64_t pairs = pairs_of(count.phase);
     PERIODICA_DCHECK(count.f2 <= pairs);
-    if (pairs == 0 || pairs < options.min_pairs) continue;
+    if (!PassesDefinition1(count.f2, pairs, options)) continue;
     const double confidence =
         static_cast<double>(count.f2) / static_cast<double>(pairs);
-    if (confidence < options.threshold) continue;
-    any = true;
     ++summary.num_periodicities;
     if (confidence > summary.best_confidence) {
       summary.best_confidence = confidence;
@@ -36,17 +42,49 @@ void EmitPeriod(std::size_t n, std::size_t period,
       summary.best_position = count.phase;
     }
     if (!options.positions) continue;  // summaries only
-    if (table->entries().size() < options.max_entries) {
-      table->AddEntry(SymbolPeriodicity{period, count.phase, count.symbol,
-                                        count.f2, pairs, confidence});
+    if (table->entries().size() + kept.size() < options.max_entries) {
+      kept.push_back(SymbolPeriodicity{period, count.phase, count.symbol,
+                                       count.f2, pairs, confidence});
     } else {
       truncated = true;
     }
   }
-  if (any) {
-    table->AddSummary(summary);
-  }
+  // Producers list a period's phases symbol by symbol, so `kept` is a few
+  // runs already sorted by phase; a merge sort joins them cheaply.
+  std::stable_sort(kept.begin(), kept.end(), CanonicalOrder{});
+  for (const SymbolPeriodicity& entry : kept) table->AddEntry(entry);
+  if (summary.num_periodicities > 0) table->AddSummary(summary);
   table->set_truncated(truncated);
+}
+
+void EmitPeriod(std::size_t n, std::size_t period,
+                std::span<const PhaseCount> counts,
+                const MinerOptions& options, PeriodicityTable* table) {
+  EmitPeriod(
+      period, counts,
+      [n, period](std::size_t l) { return ProjectionPairCount(n, period, l); },
+      options, table);
+}
+
+PeriodSummary AggregateSummary(std::size_t n,
+                               std::span<const Candidate> group) {
+  PERIODICA_DCHECK(!group.empty());
+  PeriodSummary summary;
+  summary.period = group.front().period;
+  summary.aggregate_only = true;
+  const double min_pairs =
+      static_cast<double>(MinPairCount(n, summary.period));
+  for (const Candidate& candidate : group) {
+    const double upper_bound =
+        std::min(1.0, static_cast<double>(candidate.matches) / min_pairs);
+    if (upper_bound > summary.best_confidence) {
+      summary.best_confidence = upper_bound;
+      summary.best_symbol = candidate.symbol;
+      summary.best_position = 0;
+    }
+    ++summary.num_periodicities;
+  }
+  return summary;
 }
 
 std::vector<Candidate> PrefilterCandidates(

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -137,13 +138,33 @@ struct PhaseCount {
   std::uint64_t f2 = 0;
 };
 
-/// Applies Definition 1 to the exact per-phase counts of one period:
-/// appends every (symbol, phase) whose confidence reaches
-/// `options.threshold` as an entry (respecting options.max_entries) and,
-/// when at least one passes, a PeriodSummary. `n` is the series length.
+/// Definition 1 for one phase, the one test every table producer and stage
+/// 2's thresholds use: pairs >= max(1, options.min_pairs) and
+/// f2 / pairs >= options.threshold in double.
+[[nodiscard]] bool PassesDefinition1(std::uint64_t f2, std::uint64_t pairs,
+                                     const MinerOptions& options);
+
+/// Applies Definition 1 to one period's exact phase counts, phase l having
+/// `pairs_of(l)` pairs: a PeriodSummary if any phase passes and, in positions
+/// mode, an entry per passing phase up to options.max_entries (then
+/// truncated()). best_* and the cut follow `counts` order; the kept entries
+/// are appended sorted by (position, symbol), so emitting periods in
+/// ascending order builds a canonical table without a sort.
+void EmitPeriod(std::size_t period, std::span<const PhaseCount> counts,
+                const std::function<std::uint64_t(std::size_t)>& pairs_of,
+                const MinerOptions& options, PeriodicityTable* table);
+
+/// EmitPeriod for a length-`n` series: phase l has
+/// ProjectionPairCount(n, period, l) pairs.
 void EmitPeriod(std::size_t n, std::size_t period,
                 std::span<const PhaseCount> counts,
                 const MinerOptions& options, PeriodicityTable* table);
+
+/// The periods-only summary of one PeriodGroups group of a length-`n` series:
+/// one periodicity per candidate, best_confidence the largest upper bound
+/// min(1, matches / MinPairCount(n, p)), flagged aggregate_only.
+[[nodiscard]] PeriodSummary AggregateSummary(std::size_t n,
+                                             std::span<const Candidate> group);
 
 /// The smallest positive Definition-1 denominator over phases of `period`
 /// (used by the lossless aggregate pre-filter: a (period, symbol) pair whose

@@ -88,7 +88,7 @@ PeriodicityTable ExactConvolutionMiner::Mine(
     }
   }
   budget.Release(entry_charge_bytes);
-  table.SortCanonical();
+  PERIODICA_DCHECK(table.IsCanonical());
   return table;
 }
 

@@ -236,24 +236,9 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
         table.set_partial(true);
         break;
       }
-      PeriodSummary summary;
-      summary.period = group.front().period;
-      summary.aggregate_only = true;
-      const double min_pairs = static_cast<double>(
-          internal::MinPairCount(n_, summary.period));
-      for (const internal::Candidate& candidate : group) {
-        const double upper_bound = std::min(
-            1.0, static_cast<double>(candidate.matches) / min_pairs);
-        if (upper_bound > summary.best_confidence) {
-          summary.best_confidence = upper_bound;
-          summary.best_symbol = candidate.symbol;
-          summary.best_position = 0;
-        }
-        ++summary.num_periodicities;
-      }
-      table.AddSummary(summary);
+      table.AddSummary(internal::AggregateSummary(n_, group));
     }
-    table.SortCanonical();
+    PERIODICA_DCHECK(table.IsCanonical());
     return table;
   }
 
@@ -264,7 +249,8 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
   // per-period slot. The split keeps only the phases Definition 1 passes;
   // EmitPeriod then turns the slots into entries in ascending period order
   // on this thread, which keeps the max_entries truncation point and the
-  // table layout identical to the sequential walk.
+  // table layout identical to the sequential walk, and the table canonical
+  // without a final sort.
   struct PeriodGroup {
     std::vector<internal::PhaseCount> counts;
     /// Budget bytes reserved by this group's phase-split task; released
@@ -341,7 +327,7 @@ PeriodicityTable FftConvolutionMiner::Mine(const MinerOptions& options) const {
     if (budget_aborted) break;
   }
   budget.Release(entry_charge_bytes);
-  table.SortCanonical();
+  PERIODICA_DCHECK(table.IsCanonical());
   return table;
 }
 

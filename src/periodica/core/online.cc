@@ -1,7 +1,10 @@
 #include "periodica/core/online.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 
+#include "periodica/core/detail.h"
 #include "periodica/series/series.h"
 #include "periodica/util/logging.h"
 
@@ -34,22 +37,73 @@ std::uint64_t CountCongruent(std::size_t lo, std::size_t hi, std::size_t p,
   return (hi - first) / p + 1;
 }
 
+/// Where each period's sigma * p counts start in a tracker's flat f2 array,
+/// plus the total at the end.
+std::vector<std::size_t> PeriodOffsets(const std::vector<std::size_t>& periods,
+                                       std::size_t sigma) {
+  std::vector<std::size_t> offsets = {0};
+  for (const std::size_t p : periods) {
+    offsets.push_back(offsets.back() + sigma * p);
+  }
+  return offsets;
+}
+
+/// A tracker's count for (period, symbol, phase); `period` must be tracked.
+std::uint64_t TrackedCount(const std::vector<std::size_t>& periods,
+                           const std::vector<std::size_t>& offsets,
+                           const std::vector<std::uint64_t>& f2,
+                           std::size_t period, SymbolId symbol,
+                           std::size_t phase) {
+  PERIODICA_CHECK_LT(phase, period);
+  const auto it = std::lower_bound(periods.begin(), periods.end(), period);
+  PERIODICA_CHECK(it != periods.end() && *it == period)
+      << "period " << period << " is not tracked";
+  return f2[offsets[static_cast<std::size_t>(it - periods.begin())] +
+            static_cast<std::size_t>(symbol) * period + phase];
+}
+
+/// A tracker's Definition-1 table: every (symbol, phase) count of every
+/// tracked period goes to EmitPeriod, zero counts included (threshold 0
+/// keeps them), phase l of period p having `pairs_of(p, l)` pairs. Nothing
+/// is truncated.
+PeriodicityTable TrackerSnapshot(
+    const std::vector<std::size_t>& periods,
+    const std::vector<std::uint64_t>& f2, std::size_t sigma, double threshold,
+    std::size_t min_pairs,
+    const std::function<std::uint64_t(std::size_t, std::size_t)>& pairs_of) {
+  MinerOptions options;
+  options.threshold = threshold;
+  options.min_pairs = min_pairs;
+  options.max_entries = std::numeric_limits<std::size_t>::max();
+  PeriodicityTable table;
+  std::vector<internal::PhaseCount> counts;
+  auto count = f2.begin();  // periods' blocks are contiguous, (k, l) inside
+  for (const std::size_t p : periods) {
+    counts.clear();
+    for (std::size_t k = 0; k < sigma; ++k) {
+      for (std::size_t l = 0; l < p; ++l) {
+        counts.push_back(
+            internal::PhaseCount{static_cast<SymbolId>(k), l, *count++});
+      }
+    }
+    internal::EmitPeriod(
+        p, counts, [&](std::size_t l) { return pairs_of(p, l); }, options,
+        &table);
+  }
+  PERIODICA_DCHECK(table.IsCanonical());
+  return table;
+}
+
 }  // namespace
 
 // --- OnlinePeriodicityTracker -----------------------------------------
 
 OnlinePeriodicityTracker::OnlinePeriodicityTracker(
     Alphabet alphabet, std::vector<std::size_t> periods)
-    : alphabet_(std::move(alphabet)), periods_(std::move(periods)) {
-  const std::size_t sigma = alphabet_.size();
-  offsets_.reserve(periods_.size() + 1);
-  std::size_t total = 0;
-  for (const std::size_t p : periods_) {
-    offsets_.push_back(total);
-    total += sigma * p;
-  }
-  offsets_.push_back(total);
-  f2_.assign(total, 0);
+    : alphabet_(std::move(alphabet)),
+      periods_(std::move(periods)),
+      offsets_(PeriodOffsets(periods_, alphabet_.size())),
+      f2_(offsets_.back(), 0) {
   ring_.assign(periods_.back(), 0);  // periods_ sorted: back() is the max
 }
 
@@ -61,13 +115,6 @@ Result<OnlinePeriodicityTracker> OnlinePeriodicityTracker::Create(
   }
   return OnlinePeriodicityTracker(std::move(alphabet),
                                   SortedUnique(std::move(periods)));
-}
-
-std::size_t OnlinePeriodicityTracker::PeriodIndex(std::size_t period) const {
-  const auto it = std::lower_bound(periods_.begin(), periods_.end(), period);
-  PERIODICA_CHECK(it != periods_.end() && *it == period)
-      << "period " << period << " is not tracked";
-  return static_cast<std::size_t>(it - periods_.begin());
 }
 
 void OnlinePeriodicityTracker::Append(SymbolId symbol) {
@@ -152,44 +199,16 @@ Result<OnlinePeriodicityTracker> OnlinePeriodicityTracker::Merge(
 std::uint64_t OnlinePeriodicityTracker::F2Count(std::size_t period,
                                                 SymbolId symbol,
                                                 std::size_t phase) const {
-  PERIODICA_CHECK_LT(phase, period);
-  const std::size_t idx = PeriodIndex(period);
-  return f2_[offsets_[idx] + static_cast<std::size_t>(symbol) * period +
-             phase];
+  return TrackedCount(periods_, offsets_, f2_, period, symbol, phase);
 }
 
 PeriodicityTable OnlinePeriodicityTracker::Snapshot(
     double threshold, std::size_t min_pairs) const {
-  PeriodicityTable table;
-  const std::size_t sigma = alphabet_.size();
-  for (std::size_t idx = 0; idx < periods_.size(); ++idx) {
-    const std::size_t p = periods_[idx];
-    PeriodSummary summary;
-    summary.period = p;
-    bool any = false;
-    for (std::size_t k = 0; k < sigma; ++k) {
-      for (std::size_t l = 0; l < p; ++l) {
-        const std::uint64_t pairs = ProjectionPairCount(n_, p, l);
-        if (pairs == 0 || pairs < min_pairs) continue;
-        const std::uint64_t f2 = f2_[offsets_[idx] + k * p + l];
-        const double confidence =
-            static_cast<double>(f2) / static_cast<double>(pairs);
-        if (confidence < threshold) continue;
-        any = true;
-        ++summary.num_periodicities;
-        if (confidence > summary.best_confidence) {
-          summary.best_confidence = confidence;
-          summary.best_symbol = static_cast<SymbolId>(k);
-          summary.best_position = l;
-        }
-        table.AddEntry(SymbolPeriodicity{p, l, static_cast<SymbolId>(k), f2,
-                                         pairs, confidence});
-      }
-    }
-    if (any) table.AddSummary(summary);
-  }
-  table.SortCanonical();
-  return table;
+  return TrackerSnapshot(
+      periods_, f2_, alphabet_.size(), threshold, min_pairs,
+      [this](std::size_t p, std::size_t l) {
+        return ProjectionPairCount(n_, p, l);
+      });
 }
 
 // --- WindowedPeriodicityTracker ----------------------------------------
@@ -198,16 +217,9 @@ WindowedPeriodicityTracker::WindowedPeriodicityTracker(
     Alphabet alphabet, std::vector<std::size_t> periods, std::size_t window)
     : alphabet_(std::move(alphabet)),
       periods_(std::move(periods)),
-      window_(window) {
-  const std::size_t sigma = alphabet_.size();
-  std::size_t total = 0;
-  offsets_.reserve(periods_.size() + 1);
-  for (const std::size_t p : periods_) {
-    offsets_.push_back(total);
-    total += sigma * p;
-  }
-  offsets_.push_back(total);
-  f2_.assign(total, 0);
+      window_(window),
+      offsets_(PeriodOffsets(periods_, alphabet_.size())),
+      f2_(offsets_.back(), 0) {
   ring_.assign(window_, 0);
 }
 
@@ -227,14 +239,6 @@ Result<WindowedPeriodicityTracker> WindowedPeriodicityTracker::Create(
   }
   return WindowedPeriodicityTracker(std::move(alphabet), std::move(unique),
                                     window);
-}
-
-std::size_t WindowedPeriodicityTracker::PeriodIndex(
-    std::size_t period) const {
-  const auto it = std::lower_bound(periods_.begin(), periods_.end(), period);
-  PERIODICA_CHECK(it != periods_.end() && *it == period)
-      << "period " << period << " is not tracked";
-  return static_cast<std::size_t>(it - periods_.begin());
 }
 
 void WindowedPeriodicityTracker::Append(SymbolId symbol) {
@@ -281,44 +285,14 @@ std::uint64_t WindowedPeriodicityTracker::PairSlots(std::size_t period,
 std::uint64_t WindowedPeriodicityTracker::F2Count(std::size_t period,
                                                   SymbolId symbol,
                                                   std::size_t phase) const {
-  PERIODICA_CHECK_LT(phase, period);
-  const std::size_t idx = PeriodIndex(period);
-  return f2_[offsets_[idx] + static_cast<std::size_t>(symbol) * period +
-             phase];
+  return TrackedCount(periods_, offsets_, f2_, period, symbol, phase);
 }
 
 PeriodicityTable WindowedPeriodicityTracker::Snapshot(
     double threshold, std::size_t min_pairs) const {
-  PeriodicityTable table;
-  const std::size_t sigma = alphabet_.size();
-  for (std::size_t idx = 0; idx < periods_.size(); ++idx) {
-    const std::size_t p = periods_[idx];
-    PeriodSummary summary;
-    summary.period = p;
-    bool any = false;
-    for (std::size_t k = 0; k < sigma; ++k) {
-      for (std::size_t l = 0; l < p; ++l) {
-        const std::uint64_t pairs = PairSlots(p, l);
-        if (pairs == 0 || pairs < min_pairs) continue;
-        const std::uint64_t f2 = f2_[offsets_[idx] + k * p + l];
-        const double confidence =
-            static_cast<double>(f2) / static_cast<double>(pairs);
-        if (confidence < threshold) continue;
-        any = true;
-        ++summary.num_periodicities;
-        if (confidence > summary.best_confidence) {
-          summary.best_confidence = confidence;
-          summary.best_symbol = static_cast<SymbolId>(k);
-          summary.best_position = l;
-        }
-        table.AddEntry(SymbolPeriodicity{p, l, static_cast<SymbolId>(k), f2,
-                                         pairs, confidence});
-      }
-    }
-    if (any) table.AddSummary(summary);
-  }
-  table.SortCanonical();
-  return table;
+  return TrackerSnapshot(
+      periods_, f2_, alphabet_.size(), threshold, min_pairs,
+      [this](std::size_t p, std::size_t l) { return PairSlots(p, l); });
 }
 
 }  // namespace periodica

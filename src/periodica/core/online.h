@@ -71,8 +71,6 @@ class OnlinePeriodicityTracker {
   OnlinePeriodicityTracker(Alphabet alphabet,
                            std::vector<std::size_t> periods);
 
-  std::size_t PeriodIndex(std::size_t period) const;
-
   Alphabet alphabet_;
   std::vector<std::size_t> periods_;      // sorted, unique
   std::vector<std::size_t> offsets_;      // offsets_[i]: start of period i's
@@ -126,8 +124,6 @@ class WindowedPeriodicityTracker {
   WindowedPeriodicityTracker(Alphabet alphabet,
                              std::vector<std::size_t> periods,
                              std::size_t window);
-
-  std::size_t PeriodIndex(std::size_t period) const;
 
   /// Number of pair anchors j in [window start, n-1-p] with j mod p == l.
   std::uint64_t PairSlots(std::size_t period, std::size_t phase) const;

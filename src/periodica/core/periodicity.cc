@@ -1,7 +1,6 @@
 #include "periodica/core/periodicity.h"
 
 #include <algorithm>
-#include <tuple>
 
 #include "periodica/util/logging.h"
 
@@ -36,11 +35,7 @@ std::vector<SymbolPeriodicity> PeriodicityTable::EntriesForPeriod(
   for (const SymbolPeriodicity& entry : entries_) {
     if (entry.period == period) out.push_back(entry);
   }
-  std::sort(out.begin(), out.end(),
-            [](const SymbolPeriodicity& a, const SymbolPeriodicity& b) {
-              return std::tie(a.position, a.symbol) <
-                     std::tie(b.position, b.symbol);
-            });
+  std::sort(out.begin(), out.end(), CanonicalOrder{});
   return out;
 }
 
@@ -81,15 +76,14 @@ void PeriodicityTable::RebuildSummariesFromEntries() {
 }
 
 void PeriodicityTable::SortCanonical() {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const SymbolPeriodicity& a, const SymbolPeriodicity& b) {
-              return std::tie(a.period, a.position, a.symbol) <
-                     std::tie(b.period, b.position, b.symbol);
-            });
-  std::sort(summaries_.begin(), summaries_.end(),
-            [](const PeriodSummary& a, const PeriodSummary& b) {
-              return a.period < b.period;
-            });
+  std::sort(entries_.begin(), entries_.end(), CanonicalOrder{});
+  std::sort(summaries_.begin(), summaries_.end(), CanonicalOrder{});
+}
+
+bool PeriodicityTable::IsCanonical() const {
+  return std::is_sorted(entries_.begin(), entries_.end(), CanonicalOrder{}) &&
+         std::is_sorted(summaries_.begin(), summaries_.end(),
+                        CanonicalOrder{});
 }
 
 }  // namespace periodica

@@ -44,6 +44,20 @@ struct PeriodSummary {
                          const PeriodSummary& b) = default;
 };
 
+/// The canonical order of a PeriodicityTable: entries by (period, position,
+/// symbol), summaries by period.
+struct CanonicalOrder {
+  bool operator()(const SymbolPeriodicity& a,
+                  const SymbolPeriodicity& b) const {
+    if (a.period != b.period) return a.period < b.period;
+    if (a.position != b.position) return a.position < b.position;
+    return a.symbol < b.symbol;
+  }
+  bool operator()(const PeriodSummary& a, const PeriodSummary& b) const {
+    return a.period < b.period;
+  }
+};
+
 /// The output of the periodicity-detection phase: all (symbol, period,
 /// position) triples passing the periodicity threshold, plus per-period
 /// summaries. Entry storage can be truncated by MinerOptions::max_entries on
@@ -104,6 +118,10 @@ class PeriodicityTable {
 
   /// Sorts entries by (period, position, symbol) and summaries by period.
   void SortCanonical();
+
+  /// True when the table is in SortCanonical's order. Every miner, tracker
+  /// and detector builds its table in this order without sorting.
+  [[nodiscard]] bool IsCanonical() const;
 
   /// Discards the current summaries and recomputes them from the entries
   /// (used after filtering or deserializing entries). Also sorts

@@ -204,22 +204,18 @@ class PlaneCounter {
   std::size_t words_;
 };
 
-/// The smallest f2 in [1, pairs] that EmitPeriod accepts with `pairs`
-/// projection pairs, by its own test, or kNoPassingCount. Acceptance is
-/// monotone in f2 (IEEE division is), so a binary search finds it.
+/// The smallest f2 in [1, pairs] that passes Definition 1 with `pairs`
+/// projection pairs (PassesDefinition1, the test EmitPeriod applies), or
+/// kNoPassingCount. Acceptance is monotone in f2 (IEEE division is), so a
+/// binary search finds it.
 std::uint64_t MinPassingCount(std::uint64_t pairs,
                               const MinerOptions& options) {
-  if (pairs == 0 || pairs < options.min_pairs) return kNoPassingCount;
-  const auto passes = [&](std::uint64_t f2) {
-    return !(static_cast<double>(f2) / static_cast<double>(pairs) <
-             options.threshold);
-  };
-  if (!passes(pairs)) return kNoPassingCount;
+  if (!PassesDefinition1(pairs, pairs, options)) return kNoPassingCount;
   std::uint64_t lo = 1;
-  std::uint64_t hi = pairs;  // passes(hi) holds
+  std::uint64_t hi = pairs;  // passes at hi
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (passes(mid)) {
+    if (PassesDefinition1(mid, pairs, options)) {
       hi = mid;
     } else {
       lo = mid + 1;

@@ -43,9 +43,8 @@ inline constexpr std::uint64_t kNoPassingCount =
 /// Definition 1's acceptance of one period as count thresholds. A phase l
 /// has ceil((n-l)/p) - 1 projection pairs: ceil(n/p) - 1 for l < `split`
 /// (= n mod p) and one fewer for the rest. `long_min` and `short_min` are
-/// the smallest F2 counts that pass in those two classes, by EmitPeriod's
-/// own test (pairs >= max(1, min_pairs) and f2 / pairs >= threshold in
-/// double), and never below 1: an empty phase is never emitted.
+/// the smallest F2 counts that pass in those two classes by
+/// PassesDefinition1, and never below 1: an empty phase is never emitted.
 struct PhaseThresholds {
   std::size_t split = 0;
   std::uint64_t long_min = kNoPassingCount;

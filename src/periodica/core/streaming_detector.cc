@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
+#include <span>
 
 #include "periodica/core/detail.h"
 #include "periodica/util/logging.h"
@@ -33,8 +33,7 @@ std::size_t StreamingPeriodDetector::EstimateMemoryBytes(
     std::size_t alphabet_size, const Options& options) {
   // Mirrors BoundedLagAutocorrelator storage (fft/chunked.h): accumulated
   // lags r[0..max_lag], the retained max_lag-sample tail, and up to one
-  // block of buffered input, all doubles. The pool-mode ReadyBlock staging
-  // is not modeled — session detectors run without a pool.
+  // block of buffered input, all doubles.
   const std::size_t block = options.block_size != 0
                                 ? options.block_size
                                 : std::max<std::size_t>(
@@ -80,61 +79,30 @@ PeriodicityTable StreamingPeriodDetector::Detect(double threshold,
                                                  std::size_t min_pairs) const {
   PeriodicityTable table;
   if (n_ < 2) return table;
-  const std::size_t max_period =
-      std::min(options_.max_period, n_ - 1);
-  min_period = std::max<std::size_t>(min_period, 1);
-
-  // Mirror of the FFT engine's periods-only mode over the bounded lags.
-  struct Candidate {
-    std::size_t period;
-    SymbolId symbol;
-    std::uint64_t matches;
-  };
-  std::vector<Candidate> candidates;
+  // The FFT engine's periods-only mode over the bounded lags: each
+  // correlator's lag sums, rounded to match counts, go through the engine's
+  // pre-filter and aggregate summaries.
+  const std::size_t lags = std::min(options_.max_period, n_ - 1) + 1;
+  std::vector<std::vector<std::uint64_t>> match_counts(correlators_.size());
   for (std::size_t k = 0; k < correlators_.size(); ++k) {
     const std::vector<double> raw = correlators_[k].Lags();
-    for (std::size_t p = min_period;
-         p <= max_period && p < raw.size(); ++p) {
-      const long long rounded = std::llround(raw[p]);
-      if (rounded <= 0) continue;
-      if ((n_ + p - 1) / p - 1 < min_pairs) continue;
-      const std::uint64_t matches = static_cast<std::uint64_t>(rounded);
-      const double floor_pairs =
-          static_cast<double>(internal::MinPairCount(n_, p));
-      if (static_cast<double>(matches) + 1e-9 < threshold * floor_pairs) {
-        continue;
-      }
-      candidates.push_back(Candidate{p, static_cast<SymbolId>(k), matches});
+    match_counts[k].resize(std::min(lags, raw.size()));
+    for (std::size_t p = 0; p < match_counts[k].size(); ++p) {
+      match_counts[k][p] = static_cast<std::uint64_t>(
+          std::max<long long>(std::llround(raw[p]), 0));
     }
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return std::tie(a.period, a.symbol) <
-                     std::tie(b.period, b.symbol);
-            });
-  for (std::size_t start = 0; start < candidates.size();) {
-    std::size_t end = start;
-    PeriodSummary summary;
-    summary.period = candidates[start].period;
-    summary.aggregate_only = true;
-    const double floor_pairs =
-        static_cast<double>(internal::MinPairCount(n_, summary.period));
-    while (end < candidates.size() &&
-           candidates[end].period == summary.period) {
-      const double upper_bound = std::min(
-          1.0, static_cast<double>(candidates[end].matches) / floor_pairs);
-      if (upper_bound > summary.best_confidence) {
-        summary.best_confidence = upper_bound;
-        summary.best_symbol = candidates[end].symbol;
-        summary.best_position = 0;
-      }
-      ++summary.num_periodicities;
-      ++end;
-    }
-    table.AddSummary(summary);
-    start = end;
+  MinerOptions options;
+  options.threshold = threshold;
+  options.min_period = min_period;
+  options.min_pairs = min_pairs;
+  const std::vector<internal::Candidate> candidates =
+      internal::PrefilterCandidates(match_counts, n_, options);
+  for (const std::span<const internal::Candidate> group :
+       internal::PeriodGroups(candidates)) {
+    table.AddSummary(internal::AggregateSummary(n_, group));
   }
-  table.SortCanonical();
+  PERIODICA_DCHECK(table.IsCanonical());
   return table;
 }
 

@@ -88,8 +88,7 @@ class StreamingPeriodDetector {
   Alphabet alphabet_;
   Options options_;
   std::vector<fft::BoundedLagAutocorrelator> correlators_;  // one per symbol
-  /// One-hot scratch row appended to each correlator per tick.
-  std::size_t n_ = 0;
+  std::size_t n_ = 0;  ///< symbols consumed
 };
 
 }  // namespace periodica

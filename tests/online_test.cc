@@ -1,7 +1,9 @@
 #include "periodica/core/online.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -226,6 +228,39 @@ TEST(OnlineTrackerTest, MinPairsInSnapshot) {
   EXPECT_TRUE(tracker->Snapshot(1.0, /*min_pairs=*/3).summaries().empty());
 }
 
+TEST(OnlineTrackerTest, ZeroThresholdKeepsEveryPhaseWithPairs) {
+  // At threshold 0 every (symbol, phase) with at least max(1, min_pairs)
+  // projection pairs passes Definition 1, zero F2 included, and the table
+  // comes out in canonical order.
+  const SymbolSeries series = RandomSeries(20, 3, 5);
+  const std::vector<std::size_t> periods = {3, 7};
+  auto tracker = OnlinePeriodicityTracker::Create(series.alphabet(), periods);
+  ASSERT_TRUE(tracker.ok());
+  for (std::size_t i = 0; i < series.size(); ++i) tracker->Append(series[i]);
+  for (const std::size_t min_pairs : {0u, 1u, 2u}) {
+    std::vector<SymbolPeriodicity> expected;
+    for (const std::size_t p : periods) {
+      for (std::size_t l = 0; l < p; ++l) {
+        const std::uint64_t pairs = ProjectionPairCount(series.size(), p, l);
+        if (pairs < std::max<std::size_t>(1, min_pairs)) continue;
+        for (SymbolId s = 0; s < 3; ++s) {
+          const std::uint64_t f2 = tracker->F2Count(p, s, l);
+          expected.push_back(SymbolPeriodicity{
+              p, l, s, f2, pairs,
+              static_cast<double>(f2) / static_cast<double>(pairs)});
+        }
+      }
+    }
+    const PeriodicityTable table = tracker->Snapshot(0.0, min_pairs);
+    EXPECT_TRUE(table.IsCanonical());
+    EXPECT_EQ(table.entries(), expected) << "min_pairs=" << min_pairs;
+    EXPECT_EQ(table.summaries().size(), periods.size());
+    EXPECT_TRUE(std::any_of(
+        expected.begin(), expected.end(),
+        [](const SymbolPeriodicity& entry) { return entry.f2 == 0; }));
+  }
+}
+
 // --- Windowed tracker ---------------------------------------------------
 
 TEST(WindowedTrackerTest, ValidatesArguments) {
@@ -304,6 +339,45 @@ TEST(WindowedTrackerTest, DetectsOutageThatWholeStreamMasks) {
   const std::uint64_t whole_f2 = whole->F2Count(10, 0, 3);
   EXPECT_GT(whole_f2, 90u);  // history keeps the count high
   EXPECT_EQ(windowed->F2Count(10, 0, 3), 0u);  // the window has moved on
+}
+
+TEST(WindowedTrackerTest, ZeroThresholdKeepsEveryPhaseWithPairs) {
+  // At threshold 0 every (symbol, phase) with at least max(1, min_pairs)
+  // pair slots in the window passes Definition 1, zero F2 included, and the
+  // table comes out in canonical order. With 40 symbols through a
+  // 13-symbol window, phase 5 of period 7 has no slot at all.
+  const SymbolSeries series = RandomSeries(40, 3, 6);
+  const std::size_t window = 13;
+  const std::vector<std::size_t> periods = {2, 5, 7};
+  auto tracker = WindowedPeriodicityTracker::Create(series.alphabet(),
+                                                    periods, window);
+  ASSERT_TRUE(tracker.ok());
+  for (std::size_t i = 0; i < series.size(); ++i) tracker->Append(series[i]);
+  const std::size_t start = series.size() - window;
+  for (const std::size_t min_pairs : {1u, 2u, 3u}) {
+    std::vector<SymbolPeriodicity> expected;
+    for (const std::size_t p : periods) {
+      for (std::size_t l = 0; l < p; ++l) {
+        std::uint64_t slots = 0;
+        for (std::size_t j = start; j + p < series.size(); ++j) {
+          if (j % p == l) ++slots;
+        }
+        if (slots < std::max<std::size_t>(1, min_pairs)) continue;
+        for (SymbolId s = 0; s < 3; ++s) {
+          const std::uint64_t f2 = tracker->F2Count(p, s, l);
+          expected.push_back(SymbolPeriodicity{
+              p, l, s, f2, slots,
+              static_cast<double>(f2) / static_cast<double>(slots)});
+        }
+      }
+    }
+    const PeriodicityTable table = tracker->Snapshot(0.0, min_pairs);
+    EXPECT_TRUE(table.IsCanonical());
+    EXPECT_EQ(table.entries(), expected) << "min_pairs=" << min_pairs;
+    EXPECT_TRUE(std::any_of(
+        expected.begin(), expected.end(),
+        [](const SymbolPeriodicity& entry) { return entry.f2 == 0; }));
+  }
 }
 
 TEST(WindowedTrackerTest, OccupancyAndSize) {

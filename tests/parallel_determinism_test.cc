@@ -5,13 +5,16 @@
 // oversubscribed (8 workers) so TSan sees real concurrency in the ctest
 // matrix regardless of the host's core count.
 
+#include <algorithm>
 #include <cstddef>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "periodica/core/exact_miner.h"
 #include "periodica/core/fft_miner.h"
 #include "periodica/core/miner.h"
 #include "periodica/core/report.h"
@@ -101,6 +104,61 @@ TEST(ParallelDeterminismTest, MaxEntriesTruncationPointIsStable) {
     ExpectTablesIdentical(sequential, miner.Mine(options),
                           "num_threads = " + std::to_string(threads));
   }
+}
+
+TEST(ParallelDeterminismTest, MaxEntriesCutKeepsTheFirstEntriesInCountOrder) {
+  // Both engines test a period's phases in (symbol, phase) order and cut at
+  // max_entries in that order; only the kept entries are then ordered
+  // canonically. So a cap inside a period keeps the first max_entries
+  // entries in (period, symbol, position) order — not the first ones in
+  // canonical order — at every worker count. Summaries are never cut.
+  const SymbolSeries series = NoisySeries(2048, 4, 12);
+  const FftConvolutionMiner fft_miner(series);
+  const ExactConvolutionMiner exact_miner(series);
+  MinerOptions options;
+  options.threshold = 0.2;
+  const PeriodicityTable full = fft_miner.Mine(options);
+  ASSERT_FALSE(full.truncated());
+  std::vector<SymbolPeriodicity> count_order = full.entries();
+  std::sort(count_order.begin(), count_order.end(),
+            [](const SymbolPeriodicity& a, const SymbolPeriodicity& b) {
+              return std::tie(a.period, a.symbol, a.position) <
+                     std::tie(b.period, b.symbol, b.position);
+            });
+  // Caps at the first symbol boundaries inside a period, and one past each:
+  // the cut keeps a symbol's phases and none, or one, of the next symbol's.
+  std::vector<std::size_t> caps;
+  for (std::size_t i = 1; i < count_order.size() && caps.size() < 4; ++i) {
+    if (count_order[i].period == count_order[i - 1].period &&
+        count_order[i].symbol != count_order[i - 1].symbol) {
+      caps.push_back(i);
+      caps.push_back(i + 1);
+    }
+  }
+  ASSERT_EQ(caps.size(), 4u);
+  bool cut_order_matters = false;
+  for (const std::size_t cap : caps) {
+    std::vector<SymbolPeriodicity> expected(count_order.begin(),
+                                            count_order.begin() + cap);
+    std::sort(expected.begin(), expected.end(), CanonicalOrder{});
+    const std::vector<SymbolPeriodicity> canonical_prefix(
+        full.entries().begin(), full.entries().begin() + cap);
+    cut_order_matters |= canonical_prefix != expected;
+    options.max_entries = cap;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      options.num_threads = threads;
+      const std::string label = "max_entries = " + std::to_string(cap) +
+                                ", num_threads = " + std::to_string(threads);
+      for (const PeriodicityTable& table :
+           {fft_miner.Mine(options), exact_miner.Mine(options)}) {
+        EXPECT_EQ(table.entries(), expected) << label;
+        EXPECT_EQ(table.summaries(), full.summaries()) << label;
+        EXPECT_TRUE(table.truncated()) << label;
+      }
+    }
+  }
+  // Cutting after a canonical sort would have kept different entries.
+  EXPECT_TRUE(cut_order_matters);
 }
 
 TEST(ParallelDeterminismTest, RenderedReportIsByteIdenticalAcrossThreads) {
